@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .model import MtlModel, TapeBinding
-from .regularizers import env_task_risk, pearson_corr
+from .regularizers import env_task_risk, module_correlation
 
 
 class AnalysisError(Exception):
@@ -96,9 +96,7 @@ def module_corr_heatmap(model: MtlModel, batch) -> CorrHeatmap:
         raise AnalysisError("need at least two samples for correlations")
     tape = T.Tape()
     binding = TapeBinding(tape)
-    zs = model.encode(binding, batch.inputs)
-    zcat = T.concatenate(zs, axis=1)
-    rho = pearson_corr(zcat, zcat)
+    rho = module_correlation(model.encode(binding, batch.inputs))
     dim = model.bank.module_dim
     return CorrHeatmap(rho.data.copy(),
                        tuple(i * dim for i in range(model.k)))

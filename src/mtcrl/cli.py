@@ -198,7 +198,13 @@ def cmd_analyze(args) -> int:
     if args.checkpoint:
         if not os.path.exists(args.checkpoint):
             raise UsageError(f"checkpoint not found: {args.checkpoint}")
-        load_checkpoint(args.checkpoint, model)
+        stored = load_checkpoint(args.checkpoint, model)
+        expected = harness.config_hash(cfg)
+        if stored != expected:
+            raise UsageError(
+                f"checkpoint {args.checkpoint} was trained with config hash "
+                f"'{stored}', but this config hashes to '{expected}'"
+            )
     saliency = np.array([analysis.factor_gradient(model, t, valid_b)
                          for t in range(tasks)])
     analysis.write_matrix_csv(out / "saliency.csv", saliency,

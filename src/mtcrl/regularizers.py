@@ -51,6 +51,13 @@ class PenaltyWeights:
             )
 
 
+def _centered(z: T.Tensor, variance_floor: float):
+    """Column-centered ``z`` and the floored inverse column norms (1 x d)."""
+    zc = T.subtract(z, T.mean(z, axis=0, keepdims=True))
+    var = T.sum_(T.square(zc), axis=0, keepdims=True)
+    return zc, var, T.pow_const(T.add(var, variance_floor), -0.5)
+
+
 def pearson_corr(zi: T.Tensor, zj: T.Tensor,
                  variance_floor: float = VARIANCE_FLOOR,
                  strict: bool = False) -> T.Tensor:
@@ -65,33 +72,44 @@ def pearson_corr(zi: T.Tensor, zj: T.Tensor,
         raise RegularizerError(
             f"pearson_corr needs >= 2 shared rows, got {zi.shape} vs {zj.shape}"
         )
-    zci = T.subtract(zi, T.mean(zi, axis=0, keepdims=True))
-    zcj = T.subtract(zj, T.mean(zj, axis=0, keepdims=True))
-    vi = T.sum_(T.square(zci), axis=0)
-    vj = T.sum_(T.square(zcj), axis=0)
+    zci, vi, inv_i = _centered(zi, variance_floor)
+    zcj, vj, inv_j = _centered(zj, variance_floor)
     if strict and (vi.data.min() < variance_floor or vj.data.min() < variance_floor):
         raise DegenerateVarianceError(
             "a column's variance is below the floor; correlation undefined"
         )
     cov = T.matmul(T.transpose(zci), zcj)
-    inv_i = T.reshape(T.pow_const(T.add(vi, variance_floor), -0.5),
-                      (zi.shape[1], 1))
-    inv_j = T.reshape(T.pow_const(T.add(vj, variance_floor), -0.5),
-                      (1, zj.shape[1]))
-    return T.multiply(T.multiply(cov, inv_i), inv_j)
+    return T.multiply(T.multiply(cov, T.transpose(inv_i)), inv_j)
+
+
+def module_correlation(zs, variance_floor: float = VARIANCE_FLOOR) -> T.Tensor:
+    """Correlation matrix over all columns of the concatenated module
+    outputs, from one centering and one variance vector (d x d, d the
+    summed module widths)."""
+    z = T.concatenate(zs, axis=1)
+    if z.shape[0] < 2:
+        raise RegularizerError(
+            f"module_correlation needs >= 2 rows, got {z.shape[0]}"
+        )
+    zc, _, inv = _centered(z, variance_floor)
+    cov = T.matmul(T.transpose(zc), zc)
+    return T.multiply(T.multiply(cov, T.transpose(inv)), inv)
 
 
 def decorrelation_loss(zs, lambda_decor: float,
                        variance_floor: float = VARIANCE_FLOOR) -> T.Tensor:
-    """Squared Frobenius norms of pairwise module correlations, summed i<j."""
+    """Squared Frobenius norms of pairwise module correlations, summed i<j.
+
+    Computed as half the squared norm of the full module correlation matrix
+    with its within-module diagonal blocks masked to zero; the matrix is
+    symmetric, so each pair (i, j) appears twice.
+    """
     if len(zs) < 2:
         return T.Tensor(0.0)
-    total = None
-    for i in range(len(zs)):
-        for j in range(i + 1, len(zs)):
-            term = T.l2_norm_sq(pearson_corr(zs[i], zs[j], variance_floor))
-            total = term if total is None else T.add(total, term)
-    return T.scale(total, lambda_decor)
+    block = np.repeat(np.arange(len(zs)), [z.shape[1] for z in zs])
+    cross = T.Tensor((block[:, None] != block[None, :]).astype(np.float64))
+    rho = T.multiply(module_correlation(zs, variance_floor), cross)
+    return T.scale(T.l2_norm_sq(rho), 0.5 * lambda_decor)
 
 
 def graph_reg_loss(a, lambda_sps: float, lambda_bal: float) -> T.Tensor:

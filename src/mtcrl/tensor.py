@@ -13,6 +13,11 @@ Conventions:
   * tensors with ``node is None`` are constants - gradients never flow
     into them;
   * one tape per training step, reset between steps.
+
+:func:`grad` walks only the nodes between the output and the requested
+tensors, and tells each backward rule which parents need a gradient; a
+rule may return ``None`` for the others, so a constant operand (a data
+matrix, a detached head) costs no adjoint product and records no nodes.
 """
 
 from __future__ import annotations
@@ -54,9 +59,11 @@ class NotOnTapeError(TensorError):
 class Node:
     """One recorded operation: kind, parent tensors, and a backward rule.
 
-    ``vjp(upstream)`` returns one gradient per parent (``None`` for
-    constant parents).  Parent node ids always precede ``nid`` because
-    nodes are appended in execution order.
+    ``vjp(upstream, needs)`` returns one gradient per parent.  ``needs``
+    holds one flag per parent, false for constants and for parents no
+    requested gradient depends on; the rule may return ``None`` for those.
+    Parent node ids always precede ``nid`` because nodes are appended in
+    execution order.
     """
 
     __slots__ = ("nid", "op", "parents", "vjp", "tape", "generation", "trainable")
@@ -192,7 +199,7 @@ def _tape_of(tensors: Iterable[Tensor]) -> Tape | None:
 
 
 def _check_finite(data: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError(f"operation '{op}' produced non-finite values")
     return data
 
@@ -242,8 +249,9 @@ def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     _broadcast_shape("add", a, b)
 
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+    def vjp(g, needs):
+        return (_unbroadcast(g, a.shape) if needs[0] else None,
+                _unbroadcast(g, b.shape) if needs[1] else None)
 
     return _make("add", a.data + b.data, (a, b), vjp)
 
@@ -252,8 +260,9 @@ def subtract(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     _broadcast_shape("subtract", a, b)
 
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(scale(g, -1.0), b.shape)
+    def vjp(g, needs):
+        return (_unbroadcast(g, a.shape) if needs[0] else None,
+                _unbroadcast(scale(g, -1.0), b.shape) if needs[1] else None)
 
     return _make("subtract", a.data - b.data, (a, b), vjp)
 
@@ -262,10 +271,10 @@ def multiply(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     _broadcast_shape("multiply", a, b)
 
-    def vjp(g):
+    def vjp(g, needs):
         return (
-            _unbroadcast(multiply(g, b), a.shape),
-            _unbroadcast(multiply(g, a), b.shape),
+            _unbroadcast(multiply(g, b), a.shape) if needs[0] else None,
+            _unbroadcast(multiply(g, a), b.shape) if needs[1] else None,
         )
 
     return _make("multiply", a.data * b.data, (a, b), vjp)
@@ -278,8 +287,9 @@ def matmul(a, b) -> Tensor:
             f"operation 'matmul': incompatible shapes {a.shape} @ {b.shape}"
         )
 
-    def vjp(g):
-        return matmul(g, transpose(b)), matmul(transpose(a), g)
+    def vjp(g, needs):
+        return (matmul(g, transpose(b)) if needs[0] else None,
+                matmul(transpose(a), g) if needs[1] else None)
 
     return _make("matmul", a.data @ b.data, (a, b), vjp)
 
@@ -291,7 +301,7 @@ def transpose(a) -> Tensor:
             f"operation 'transpose': expected 2-d, got shape {a.shape}"
         )
 
-    def vjp(g):
+    def vjp(g, needs):
         return (transpose(g),)
 
     return _make("transpose", a.data.T.copy(), (a,), vjp)
@@ -306,7 +316,7 @@ def reshape(a, shape) -> Tensor:
         )
     old = a.shape
 
-    def vjp(g):
+    def vjp(g, needs):
         return (reshape(g, old),)
 
     return _make("reshape", a.data.reshape(shape), (a,), vjp)
@@ -316,7 +326,7 @@ def scale(a, c: float) -> Tensor:
     a = _lift(a)
     c = float(c)
 
-    def vjp(g):
+    def vjp(g, needs):
         return (scale(g, c),)
 
     return _make("scale", a.data * c, (a,), vjp)
@@ -329,7 +339,7 @@ def sigmoid(a) -> Tensor:
                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
     out_holder = []
 
-    def vjp(g):
+    def vjp(g, needs):
         y = out_holder[0]
         return (multiply(multiply(g, y), subtract(1.0, y)),)
 
@@ -342,7 +352,7 @@ def tanh(a) -> Tensor:
     a = _lift(a)
     out_holder = []
 
-    def vjp(g):
+    def vjp(g, needs):
         y = out_holder[0]
         return (multiply(g, subtract(1.0, square(y))),)
 
@@ -355,7 +365,7 @@ def relu(a) -> Tensor:
     a = _lift(a)
     mask = Tensor((a.data > 0).astype(np.float64))  # subgradient at 0 is 0
 
-    def vjp(g):
+    def vjp(g, needs):
         return (multiply(g, mask),)
 
     return _make("relu", np.maximum(a.data, 0.0), (a,), vjp)
@@ -365,7 +375,7 @@ def exp(a) -> Tensor:
     a = _lift(a)
     out_holder = []
 
-    def vjp(g):
+    def vjp(g, needs):
         return (multiply(g, out_holder[0]),)
 
     with np.errstate(over="ignore"):
@@ -380,7 +390,7 @@ def log(a) -> Tensor:
     if np.any(a.data <= 0):
         raise DomainError("operation 'log': input has non-positive values")
 
-    def vjp(g):
+    def vjp(g, needs):
         return (multiply(g, pow_const(a, -1.0)),)
 
     return _make("log", np.log(a.data), (a,), vjp)
@@ -389,7 +399,7 @@ def log(a) -> Tensor:
 def square(a) -> Tensor:
     a = _lift(a)
 
-    def vjp(g):
+    def vjp(g, needs):
         return (scale(multiply(g, a), 2.0),)
 
     return _make("square", a.data * a.data, (a,), vjp)
@@ -399,7 +409,7 @@ def absolute(a) -> Tensor:
     a = _lift(a)
     sign = Tensor(np.sign(a.data))  # derivative at 0 defined as 0
 
-    def vjp(g):
+    def vjp(g, needs):
         return (multiply(g, sign),)
 
     return _make("absolute", np.abs(a.data), (a,), vjp)
@@ -413,7 +423,7 @@ def pow_const(a, p: float) -> Tensor:
     if p < 0 and np.any(a.data == 0):
         raise DomainError("operation 'pow': negative power of zero")
 
-    def vjp(g):
+    def vjp(g, needs):
         return (scale(multiply(g, pow_const(a, p - 1.0)), p),)
 
     with np.errstate(over="ignore"):
@@ -425,7 +435,7 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _lift(a)
     in_shape = a.shape
 
-    def vjp(g):
+    def vjp(g, needs):
         if axis is None:
             expand = g if g.data.ndim == a.data.ndim else reshape(g, (1,) * a.data.ndim)
         elif keepdims:
@@ -467,7 +477,7 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     )
     in_shape = a.shape
 
-    def vjp(g):
+    def vjp(g, needs):
         return (scatter_narrow(g, axis, start, in_shape),)
 
     return _make("slice", a.data[key].copy(), (a,), vjp)
@@ -485,7 +495,7 @@ def scatter_narrow(g, axis: int, start: int, target_shape) -> Tensor:
     )
     data[key] = g.data
 
-    def vjp(up):
+    def vjp(up, needs):
         return (narrow(up, axis, start, length),)
 
     return _make("scatter", data, (g,), vjp)
@@ -507,10 +517,10 @@ def concatenate(tensors, axis: int = 0) -> Tensor:
             )
     offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
-    def vjp(g):
+    def vjp(g, needs):
         return tuple(
-            narrow(g, axis, int(offsets[i]), t.shape[axis])
-            for i, t in enumerate(tensors)
+            narrow(g, axis, int(offsets[i]), t.shape[axis]) if need else None
+            for i, (t, need) in enumerate(zip(tensors, needs))
         )
 
     data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -628,13 +638,33 @@ class GradMap:
         return len(self.by_id)
 
 
+def _active_nodes(tape: Tape, output_nid: int, wrt_ids: set) -> tuple:
+    """Nodes up to ``output_nid`` that are ``wrt`` tensors or have an active
+    parent, as (nodes in tape order, set of their ids)."""
+    order, active = [], set()
+    if wrt_ids:
+        for node in tape.nodes[min(wrt_ids):output_nid + 1]:
+            if node.nid in wrt_ids or any(
+                    p.node is not None and p.node.nid in active
+                    for p in node.parents):
+                order.append(node)
+                active.add(node.nid)
+    return order, active
+
+
 def grad(output: Tensor, wrt, create_graph: bool = False,
          detached=()) -> GradMap:
     """Reverse-mode derivatives of a scalar ``output`` w.r.t. ``wrt`` tensors.
 
+    Only active nodes are visited: those that are ``wrt`` tensors or depend
+    on one.  Each backward rule is told which of its parents are active
+    (and not constants) and may return ``None`` for the others, so no
+    adjoint is built that no requested gradient needs.
+
     With ``create_graph=True`` the returned gradients are themselves on the
     tape, so a second call differentiates through them.  Tensors listed in
-    ``detached`` get exactly-zero entries.
+    ``detached`` get exactly-zero entries; gradients still flow through
+    them to other requested tensors.
     """
     if output.node is None:
         raise NotOnTapeError("output is not on a tape")
@@ -646,24 +676,29 @@ def grad(output: Tensor, wrt, create_graph: bool = False,
             f"grad requires a scalar output, got shape {output.shape}"
         )
     wrt = list(wrt)
-    detached_ids = set()
-    for t in detached:
-        if t.node is not None:
-            detached_ids.add(t.node.nid)
+    for t in wrt:
+        if t.node is None:
+            raise NotOnTapeError("requested gradient for a constant tensor")
+        if t.node.tape is not tape:
+            raise NotOnTapeError("requested tensor lives on a different tape")
+    detached_ids = {t.node.nid for t in detached if t.node is not None}
+    order, active = _active_nodes(tape, output.node.nid,
+                                  {t.node.nid for t in wrt})
 
     ctx = contextlib.nullcontext() if create_graph else tape.stop_recording()
     grads: dict[int, Tensor] = {output.node.nid: Tensor(np.ones(output.shape))}
     with ctx:
-        for nid in range(output.node.nid, -1, -1):
-            g = grads.get(nid)
-            if g is None:
+        for node in reversed(order):
+            g = grads.get(node.nid)
+            if g is None or node.vjp is None:
                 continue
-            node = tape.nodes[nid]
-            if node.vjp is None:
+            needs = tuple(p.node is not None and p.node.nid in active
+                          for p in node.parents)
+            if not any(needs):
                 continue
-            parent_grads = node.vjp(g)
-            for parent, pg in zip(node.parents, parent_grads):
-                if pg is None or parent.node is None:
+            for parent, need, pg in zip(node.parents, needs,
+                                        node.vjp(g, needs)):
+                if not need:
                     continue
                 pid = parent.node.nid
                 if pid in grads:
@@ -673,10 +708,6 @@ def grad(output: Tensor, wrt, create_graph: bool = False,
 
     out = GradMap()
     for t in wrt:
-        if t.node is None:
-            raise NotOnTapeError("requested gradient for a constant tensor")
-        if t.node.tape is not tape:
-            raise NotOnTapeError("requested tensor lives on a different tape")
         g = grads.get(t.node.nid)
         if g is None or t.node.nid in detached_ids:
             g = Tensor(np.zeros(t.shape))

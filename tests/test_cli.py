@@ -5,7 +5,8 @@ import pytest
 
 from mtcrl.cli import main
 from mtcrl.data import SemSpec, read_container
-from mtcrl.harness import TrainConfig, config_to_dict
+from mtcrl.harness import (TrainConfig, config_from_dict, config_hash,
+                           config_to_dict)
 
 
 def quick_config_dict(**overrides):
@@ -180,3 +181,19 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--config", config_file,
                      "--checkpoint", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_checkpoint_from_other_config_rejected(self, config_file, tmp_path,
+                                                   capsys):
+        run_out = tmp_path / "run"
+        assert main(["train", "--config", config_file,
+                     "--out", str(run_out)]) == 0
+        other = tmp_path / "other.json"
+        payload = quick_config_dict(learning_rate=5e-3)
+        other.write_text(json.dumps(payload))
+        assert main(["analyze", "--config", str(other),
+                     "--checkpoint", str(run_out / "checkpoint.json"),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        stored = json.loads((run_out / "report.json").read_text())["config_hash"]
+        assert stored in err
+        assert config_hash(config_from_dict(payload)) in err

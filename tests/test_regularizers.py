@@ -95,6 +95,43 @@ class TestDecorrelation:
         assert a == pytest.approx(b, rel=1e-12)
 
 
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_matches_pairwise_reference(self, k):
+        rng = np.random.default_rng(k)
+        values = [rng.normal(size=(9, 2)) + 0.3 * rng.normal(size=(9, 1))
+                  for _ in range(k)]
+
+        def loss_and_grad(loss_fn):
+            tape = T.Tape()
+            zs = [tape.leaf(v, trainable=True) for v in values]
+            loss = loss_fn(zs)
+            gm = T.grad(loss, zs)
+            return loss.item(), np.concatenate([gm.get(z).data for z in zs])
+
+        def pairwise(zs):
+            total = None
+            for i in range(len(zs)):
+                for j in range(i + 1, len(zs)):
+                    term = T.l2_norm_sq(pearson_corr(zs[i], zs[j]))
+                    total = term if total is None else T.add(total, term)
+            return T.scale(total, 1.7)
+
+        value, g = loss_and_grad(lambda zs: decorrelation_loss(zs, 1.7))
+        ref_value, ref_g = loss_and_grad(pairwise)
+        assert value == pytest.approx(ref_value, rel=1e-12, abs=0)
+        assert np.linalg.norm(g - ref_g) <= 1e-12 * np.linalg.norm(ref_g)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_matches_finite_differences(self, order):
+        rng = np.random.default_rng(order)
+        params = [rng.normal(size=(5, 2)), rng.normal(size=(5, 1)),
+                  rng.normal(size=(5, 2))]
+        err = T.finite_diff_check(
+            lambda a, b, c: decorrelation_loss([a, b, c], 0.8), params,
+            step=1e-5, order=order)
+        assert err < 1e-8
+
+
 class TestGraphReg:
     def test_uniform_matrix_closed_form(self):
         a = T.Tensor(np.full((2, 4), 0.5))
@@ -283,6 +320,28 @@ class TestGirmPenalties:
             worst = max(worst, abs(analytic[idx] - numeric)
                         / max(1.0, abs(analytic[idx]), abs(numeric)))
         assert worst < 1e-3
+
+    def test_inner_routing_gradient_does_not_walk_encoder(self):
+        # the inner create_graph gradient w.r.t. a routing row records the
+        # same nodes whatever the encoder depth: the encoder is inactive
+        added = []
+        for hidden in ((32,), (32, 32)):
+            model = MtlModel(tasks=2, k=3, input_dim=4, total_dim=6,
+                             encoder_hidden=hidden, encoder_activation="tanh",
+                             head_hidden=(), head_out_dims=[1, 1],
+                             loss_kinds=["mse", "mse"],
+                             rng=np.random.default_rng(0))
+            batch = make_batches(seed=1)[0]
+            tape = T.Tape()
+            binding = TapeBinding(tape)
+            zs = model.encode(binding, batch.inputs)
+            row = model.routing_row(binding, 0)
+            risk = env_task_risk(model, binding, batch, 0, zs=zs, a_row=row,
+                                 detach_heads=True)
+            n_before = len(tape.nodes)
+            T.grad(risk, [row], create_graph=True)
+            added.append(len(tape.nodes) - n_before)
+        assert added[0] == added[1]
 
     def test_irm_baseline_decomposes(self):
         model = make_model(seed=8)

@@ -116,6 +116,74 @@ class TestSecondOrder:
         assert all(tape.nodes[i].nid == i for i in range(len(tape.nodes)))
 
 
+class TestPrunedBackward:
+    def test_constant_matmul_operand_gets_no_adjoint(self):
+        rng = np.random.default_rng(3)
+        tape = T.Tape()
+        w = tape.leaf(rng.normal(size=(4, 2)), trainable=True)
+        x = T.Tensor(rng.normal(size=(5, 4)))
+        out = T.sum_(T.square(T.matmul(x, w)))
+        n_before = len(tape.nodes)
+        gm = T.grad(out, [w], create_graph=True)
+        added = tape.nodes[n_before:]
+        # only x^T g is recorded; g w^T (the constant side) is never built
+        assert [n.op for n in added].count("matmul") == 1
+        assert "transpose" not in [n.op for n in added]
+        expected = 2.0 * x.data.T @ (x.data @ w.data)
+        np.testing.assert_allclose(gm.get(w).data, expected, rtol=1e-14)
+
+    def test_sum_of_constant_product_records_nothing(self):
+        tape = T.Tape()
+        w = tape.leaf(np.ones((3, 2)), trainable=True)
+        out = T.sum_(T.matmul(T.Tensor(np.arange(6.0).reshape(2, 3)), w))
+        n_before = len(tape.nodes)
+        gm = T.grad(out, [w], create_graph=True)
+        assert len(tape.nodes) == n_before
+        np.testing.assert_array_equal(gm.get(w).data,
+                                      [[3.0, 3.0], [5.0, 5.0], [7.0, 7.0]])
+
+    def test_detached_non_leaf_still_passes_gradient(self):
+        tape = T.Tape()
+        x = tape.leaf([0.4, -1.1], trainable=True)
+        h = T.tanh(x)
+        out = T.sum_(T.square(h))
+        gm = T.grad(out, [x, h], detached=[h])
+        np.testing.assert_array_equal(gm.get(h).data, 0.0)
+        y = np.tanh(x.data)
+        np.testing.assert_allclose(gm.get(x).data, 2 * y * (1 - y * y),
+                                   rtol=1e-14)
+
+    def test_non_leaf_wrt_gets_full_gradient(self):
+        tape = T.Tape()
+        x = tape.leaf([0.4, -1.1], trainable=True)
+        h = T.tanh(x)
+        out = T.add(T.sum_(T.square(h)), T.sum_(T.multiply(h, x)))
+        gm = T.grad(out, [h])
+        np.testing.assert_allclose(gm.get(h).data, 2 * h.data + x.data,
+                                   rtol=1e-14)
+
+    def test_tensor_created_after_output_gets_zeros(self):
+        tape = T.Tape()
+        x = tape.leaf(2.0, trainable=True)
+        out = T.square(x)
+        late = tape.leaf(np.ones(3), trainable=True)
+        gm = T.grad(out, [late, x])
+        np.testing.assert_array_equal(gm.get(late).data, np.zeros(3))
+        assert gm.get(x).item() == 4.0
+
+    def test_second_order_with_constant_branch(self):
+        rng = np.random.default_rng(5)
+        x = T.Tensor(rng.normal(size=(4, 3)))
+        c = T.Tensor(rng.normal(size=(3, 2)))
+
+        def f(w, u):
+            h = T.tanh(T.add(T.matmul(x, w), u))
+            return T.add(T.mean(T.square(h)), T.sum_(T.multiply(c, w)))
+
+        params = [rng.normal(size=(3, 2)) * 0.5, rng.normal(size=(1, 2))]
+        assert T.finite_diff_check(f, params, step=1e-5, order=2) < 1e-8
+
+
 class TestItem:
     @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
     def test_one_element_tensor_gives_python_float(self, shape):
