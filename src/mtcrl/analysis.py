@@ -23,13 +23,11 @@ class UndefinedScoreError(AnalysisError):
     pass
 
 
-def factor_gradient(model: MtlModel, t: int, batch,
-                    use_probability: bool = False) -> np.ndarray:
+def factor_gradient(model: MtlModel, t: int, batch) -> np.ndarray:
     """Summed absolute input-gradients of the true-class score over a batch.
 
     For classification the differentiated scalar is the pre-softmax score
-    of the true class (``use_probability=True`` switches to the softmax
-    probability); for scalar outputs it is the output itself.
+    of the true class; for scalar outputs it is the output itself.
     """
     tape = T.Tape()
     binding = TapeBinding(tape)
@@ -40,12 +38,7 @@ def factor_gradient(model: MtlModel, t: int, batch,
         labels = np.asarray(batch.labels[t]).astype(np.int64)
         onehot = np.zeros(out.shape)
         onehot[np.arange(out.shape[0]), labels] = 1.0
-        if use_probability:
-            nll = T.softmax_cross_entropy(out, labels)
-            prob = T.exp(T.scale(nll, -1.0))
-            score = T.sum_(prob)
-        else:
-            score = T.sum_(T.multiply(out, T.Tensor(onehot)))
+        score = T.sum_(T.multiply(out, T.Tensor(onehot)))
     else:
         score = T.sum_(out)
     g = T.grad(score, [x]).get(x).data
@@ -107,9 +100,6 @@ class TaskModuleGradients:
     per_env: dict               # env_id -> T x K array
     diff: np.ndarray            # generalization table, see below
     diff_envs: tuple            # (subtrahend, minuend) env ids
-
-    def table(self, env_id: str) -> np.ndarray:
-        return self.per_env[env_id]
 
 
 def task_module_gradients(model: MtlModel, env_batches) -> TaskModuleGradients:

@@ -1,6 +1,8 @@
 """Command-line entry points: dataset generation, training, the table-2 /
 task-sweep / ablation experiment drivers, oracle checking, and model
-diagnostics.  All subcommands take --config (JSON), --seed, and --out.
+diagnostics.  All subcommands take --out.  All but oracle-check take
+--config (JSON), and all but oracle-check and ablate take --seed to
+override the config's seed; ablate takes its seeds from the config.
 
 Exit codes: 0 success, 1 failed run (diagnostic JSON written), 2 usage or
 configuration errors.
@@ -20,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, harness, oracles
-from .data import (MnistPairSpec, SemSpec, gen_multisem, compose_multimnist,
-                   write_batch_csv, write_container)
+from .data import (SemSpec, gen_multisem, compose_multimnist, write_batch_csv,
+                   write_container)
 from .model import load_checkpoint, save_checkpoint
 
 
@@ -47,12 +49,16 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _config_from_args(args) -> harness.TrainConfig:
-    payload = _load_json(args.config)
+def _parse(parser, payload):
+    """``parser(payload)``; anything it raises is a configuration error."""
     try:
-        cfg = harness.config_from_dict(payload)
+        return parser(payload)
     except Exception as exc:
         raise UsageError(f"bad config: {exc}") from exc
+
+
+def _train_config(payload, args) -> harness.TrainConfig:
+    cfg = _parse(harness.config_from_dict, payload)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
@@ -65,21 +71,9 @@ def _write_rows_csv(path, rows, columns):
         writer.writerows(rows)
 
 
-def _dataset_spec_from_dict(payload: dict):
-    payload = dict(payload)
-    kind = payload.pop("kind", "multisem")
-    if kind == "multisem":
-        return SemSpec(**payload)
-    if kind == "multimnist":
-        if "ratios" in payload:
-            payload["ratios"] = tuple(payload["ratios"])
-        return MnistPairSpec(**payload)
-    raise UsageError(f"unknown dataset kind '{kind}'")
-
-
 def cmd_gen_data(args) -> int:
     payload = _load_json(args.config)
-    spec = _dataset_spec_from_dict(payload.get("dataset", payload))
+    spec = _parse(harness.dataset_from_dict, payload.get("dataset", payload))
     if args.seed is not None:
         key = "seed" if isinstance(spec, SemSpec) else "split_seed"
         spec = replace(spec, **{key: args.seed})
@@ -96,17 +90,16 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = _train_config(_load_json(args.config), args)
     out = _out_dir(args)
-    report, bundle = harness.train(cfg, return_model=True)
+    report, models = harness.train(cfg, return_model=True)
     (out / "report.json").write_text(report.json())
-    if bundle["kind"] == "mtl":
-        save_checkpoint(out / "checkpoint.json", bundle["model"],
-                        report.config_hash)
+    if cfg.mode == "stl":
+        names = [f"checkpoint_task{t}.json" for t in range(len(models))]
     else:
-        for t, m in enumerate(bundle["models"]):
-            save_checkpoint(out / f"checkpoint_task{t}.json", m,
-                            report.config_hash)
+        names = ["checkpoint.json"]
+    for name, model in zip(names, models):
+        save_checkpoint(out / name, model, report.config_hash)
     analysis.write_matrix_csv(out / "routing.csv", np.array(report.routing))
     print(f"acc_val={np.mean(report.acc_val):.4f} "
           f"rho_spur={np.mean(report.rho_spur):.4f} -> {out}")
@@ -118,13 +111,12 @@ TABLE2_COLUMNS = ("method", "dataset", "acc_train", "acc_val", "rho_spur")
 
 def cmd_table2(args) -> int:
     payload = _load_json(args.config)
-    base = harness.config_from_dict(payload.get("base", {}))
-    if args.seed is not None:
-        base = replace(base, seed=args.seed)
+    base = _train_config(payload.get("base", {}), args)
     datasets = []
     for i, entry in enumerate(payload.get("datasets", [])):
+        entry = dict(entry)
         name = entry.pop("name", f"dataset{i}")
-        datasets.append((name, _dataset_spec_from_dict(entry)))
+        datasets.append((name, _parse(harness.dataset_from_dict, entry)))
     if not datasets:
         datasets = [("multisem", base.dataset)]
     out = _out_dir(args)
@@ -140,9 +132,7 @@ def cmd_table2(args) -> int:
 
 def cmd_sweep_tasks(args) -> int:
     payload = _load_json(args.config)
-    base = harness.config_from_dict(payload.get("base", {}))
-    if args.seed is not None:
-        base = replace(base, seed=args.seed)
+    base = _train_config(payload.get("base", {}), args)
     task_counts = payload.get("tasks", [2, 4, 6, 8])
     out = _out_dir(args)
     result = harness.run_task_sweep(task_counts, base)
@@ -158,9 +148,13 @@ def cmd_sweep_tasks(args) -> int:
 
 def cmd_ablate(args) -> int:
     payload = _load_json(args.config)
-    base = harness.config_from_dict(payload.get("base", {}))
+    base = _parse(harness.config_from_dict, payload.get("base", {}))
     seeds = payload.get("seeds", [0, 1, 2, 3, 4])
     variants = payload.get("variants")
+    unknown = sorted(set(variants or ()) - set(harness.ABLATION_VARIANTS))
+    if unknown:
+        raise UsageError(f"bad config: unknown ablation variants {unknown}; "
+                         f"known: {sorted(harness.ABLATION_VARIANTS)}")
     out = _out_dir(args)
     result = harness.run_ablation(base, seeds=seeds, variants=variants)
     rows = [{**r, "per_seed": json.dumps(r["per_seed"])}
@@ -188,7 +182,7 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = _train_config(_load_json(args.config), args)
     out = _out_dir(args)
     train_b, valid_b, test_b, tasks, kinds, head_out = harness._dataset_bundle(cfg)
     from .data import split_environments
@@ -241,11 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=False):
+    def common(p, config_required=False, seed=True):
         p.add_argument("--config", required=config_required,
                        help="JSON config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config seed")
         p.add_argument("--out", default="results",
                        help="output directory (created if missing)")
 
@@ -255,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
            config_required=True)
     common(sub.add_parser("table2", help="STL vs vanilla-MTL comparison"))
     common(sub.add_parser("sweep-tasks", help="task-count scaling trends"))
-    common(sub.add_parser("ablate", help="regularizer ablation table"))
+    common(sub.add_parser("ablate", help="regularizer ablation table"),
+           seed=False)
 
     p = sub.add_parser("oracle-check",
                        help="closed-form vs numerical oracle equivalences")

@@ -94,18 +94,22 @@ def config_to_dict(cfg: TrainConfig) -> dict:
     }
 
 
+def dataset_from_dict(d: dict) -> SemSpec | MnistPairSpec:
+    """Dataset spec from its JSON form; ``kind`` defaults to ``multisem``."""
+    d = dict(d)
+    kind = d.pop("kind", "multisem")
+    if kind == "multisem":
+        return SemSpec(**d)
+    if kind == "multimnist":
+        if "ratios" in d:
+            d["ratios"] = tuple(d["ratios"])
+        return MnistPairSpec(**d)
+    raise HarnessError(f"unknown dataset kind '{kind}'")
+
+
 def config_from_dict(d: dict) -> TrainConfig:
     d = dict(d)
-    ds = dict(d.pop("dataset", {"kind": "multisem"}))
-    kind = ds.pop("kind", "multisem")
-    if kind == "multisem":
-        dataset = SemSpec(**ds)
-    elif kind == "multimnist":
-        if "ratios" in ds:
-            ds["ratios"] = tuple(ds["ratios"])
-        dataset = MnistPairSpec(**ds)
-    else:
-        raise HarnessError(f"unknown dataset kind '{kind}'")
+    dataset = dataset_from_dict(d.pop("dataset", {}))
     if "weights" in d:
         d["weights"] = PenaltyWeights(**d["weights"])
     for key in ("encoder_hidden", "head_hidden", "betas"):
@@ -367,7 +371,15 @@ def _fit(model, train_batch, env_batches, weights, cfg, stream_key):
 
 
 def train(cfg: TrainConfig, return_model: bool = False):
-    """Run one experiment to completion; deterministic given (config, seed)."""
+    """Run one experiment to completion.
+
+    STL fits one single-module model per task; the other modes fit one
+    model for all tasks.  Either way each fit fills its tasks' columns of
+    one report.  The report is reproducible bit for bit from
+    ``(config, seed)`` at a fixed BLAS thread count; the thread count can
+    change the last digit of a reduction.  With ``return_model=True``
+    returns ``(report, models)``, the models in fit order.
+    """
     t0 = time.perf_counter()
     train_b, valid_b, test_b, tasks, kinds, head_out = _dataset_bundle(cfg)
     envs = split_environments(train_b, valid_b)
@@ -375,74 +387,49 @@ def train(cfg: TrainConfig, return_model: bool = False):
     rho_batch = {"train": envs[0], "valid": envs[1], "test": test_b}[
         cfg.rho_spur_split]
 
+    # per fit: (model, environment views, test view, rho view, stream key)
     if cfg.mode == "stl":
         share = cfg.stl_module_dim or max(cfg.total_module_dim // tasks, 1)
-        models = []
-        curves_tr, curves_va, epochs_run = [], [], []
-        acc_train, acc_val, acc_test, risk_test = [], [], [], []
-        rho, saliency, routing_rows = [], [], []
-        for t in range(tasks):
-            sub_envs = [e.task_view(t) for e in envs]
-            m = _build_model(cfg, train_b.input_dim, 1, [kinds[t]],
-                             [head_out[t]], seed_key=100 + t, k=1,
-                             total_dim=share)
-            tr, va, ep = _fit(m, sub_envs[0], sub_envs, weights, cfg,
-                              stream_key=200 + t)
-            models.append(m)
-            curves_tr.append(tr)
-            curves_va.append(va)
-            epochs_run.append(ep)
-            acc_train.append(evaluate(m, sub_envs[0])["accuracy"][0])
-            acc_val.append(evaluate(m, sub_envs[1])["accuracy"][0])
-            test_eval = evaluate(m, test_b.task_view(t))
-            acc_test.append(test_eval["accuracy"][0])
-            risk_test.append(test_eval["risks"][0])
-            sal = factor_gradient(m, 0, rho_batch.task_view(t))
-            saliency.append(sal.tolist())
-            rho.append(spurious_score(sal, rho_batch.causal_masks[t]))
-            routing_rows.append(m.routing.matrix()[0].tolist())
-        a_matrix = np.array(routing_rows)
-        report = RunReport(
-            config=config_to_dict(cfg), config_hash=config_hash(cfg),
-            seed=cfg.seed, mode=cfg.mode, epochs_run=epochs_run,
-            train_risk_curve=[[row[0] for row in curve] for curve in curves_tr],
-            valid_risk_curve=[[row[0] for row in curve] for curve in curves_va],
-            acc_train=acc_train, acc_val=acc_val,
-            risk_test=risk_test, acc_test=acc_test,
-            rho_spur=rho, saliency=saliency,
-            routing=a_matrix.tolist(),
-            similarity=task_similarity(a_matrix).matrix.tolist(),
-            wall_clock_s=time.perf_counter() - t0,
-        )
-        bundle = {"kind": "stl", "models": models}
+        fits = [(_build_model(cfg, train_b.input_dim, 1, [kinds[t]],
+                              [head_out[t]], seed_key=100 + t, k=1,
+                              total_dim=share),
+                 [e.task_view(t) for e in envs], test_b.task_view(t),
+                 rho_batch.task_view(t), 200 + t)
+                for t in range(tasks)]
     else:
-        model = _build_model(cfg, train_b.input_dim, tasks, kinds, head_out,
-                             seed_key=100)
-        tr, va, ep = _fit(model, envs[0], envs, weights, cfg, stream_key=200)
-        train_eval = evaluate(model, envs[0])
-        valid_eval = evaluate(model, envs[1])
-        test_eval = evaluate(model, test_b)
-        saliency = [factor_gradient(model, t, rho_batch).tolist()
-                    for t in range(tasks)]
-        rho = [spurious_score(np.array(saliency[t]),
-                              rho_batch.causal_masks[t])
-               for t in range(tasks)]
-        a_matrix = model.routing.matrix()
-        report = RunReport(
-            config=config_to_dict(cfg), config_hash=config_hash(cfg),
-            seed=cfg.seed, mode=cfg.mode, epochs_run=[ep],
-            train_risk_curve=[[row[t] for row in tr] for t in range(tasks)],
-            valid_risk_curve=[[row[t] for row in va] for t in range(tasks)],
-            acc_train=train_eval["accuracy"], acc_val=valid_eval["accuracy"],
-            risk_test=test_eval["risks"], acc_test=test_eval["accuracy"],
-            rho_spur=rho, saliency=saliency,
-            routing=a_matrix.tolist(),
-            similarity=task_similarity(a_matrix).matrix.tolist(),
-            wall_clock_s=time.perf_counter() - t0,
-        )
-        bundle = {"kind": "mtl", "model": model}
+        fits = [(_build_model(cfg, train_b.input_dim, tasks, kinds, head_out,
+                              seed_key=100),
+                 envs, test_b, rho_batch, 200)]
+
+    cols = {name: [] for name in (
+        "epochs_run", "train_risk_curve", "valid_risk_curve", "acc_train",
+        "acc_val", "risk_test", "acc_test", "rho_spur", "saliency",
+        "routing")}
+    for model, fit_envs, test_view, rho_view, stream_key in fits:
+        tr, va, ep = _fit(model, fit_envs[0], fit_envs, weights, cfg,
+                          stream_key=stream_key)
+        test_eval = evaluate(model, test_view)
+        cols["epochs_run"].append(ep)
+        cols["acc_train"] += evaluate(model, fit_envs[0])["accuracy"]
+        cols["acc_val"] += evaluate(model, fit_envs[1])["accuracy"]
+        cols["risk_test"] += test_eval["risks"]
+        cols["acc_test"] += test_eval["accuracy"]
+        cols["routing"] += model.routing.matrix().tolist()
+        for t in range(model.tasks):
+            cols["train_risk_curve"].append([row[t] for row in tr])
+            cols["valid_risk_curve"].append([row[t] for row in va])
+            sal = factor_gradient(model, t, rho_view)
+            cols["saliency"].append(sal.tolist())
+            cols["rho_spur"].append(
+                spurious_score(sal, rho_view.causal_masks[t]))
+    report = RunReport(
+        config=config_to_dict(cfg), config_hash=config_hash(cfg),
+        seed=cfg.seed, mode=cfg.mode, **cols,
+        similarity=task_similarity(np.array(cols["routing"])).matrix.tolist(),
+        wall_clock_s=time.perf_counter() - t0,
+    )
     if return_model:
-        return report, bundle
+        return report, [fit[0] for fit in fits]
     return report
 
 

@@ -162,7 +162,7 @@ def env_task_risk(model: MtlModel, binding: TapeBinding, batch, t: int,
 @dataclass
 class EnvGradientSet:
     """Per task, per environment: gradient of the env risk w.r.t. the task's
-    routing row (a 1 x K tensor, on-tape when built with create_graph)."""
+    routing row (a 1 x K tensor, on the tape so it can be differentiated)."""
 
     grads: dict = field(default_factory=dict)  # task -> {env_id -> Tensor}
     env_order: tuple = ()
@@ -173,7 +173,6 @@ class EnvGradientSet:
 
 
 def environment_gradients(model: MtlModel, binding: TapeBinding, env_batches,
-                          create_graph: bool = True,
                           detach_heads: bool = True) -> EnvGradientSet:
     """Routing-row gradients of every (task, environment) risk.
 
@@ -191,7 +190,7 @@ def environment_gradients(model: MtlModel, binding: TapeBinding, env_batches,
             risk = env_task_risk(model, binding, batch, t, zs=zs, a_row=row,
                                  detach_heads=detach_heads)
             grads[t][batch.env_id] = T.grad(
-                risk, [row], create_graph=create_graph
+                risk, [row], create_graph=True
             ).get(row)
     return EnvGradientSet(grads, tuple(b.env_id for b in env_batches))
 
@@ -222,8 +221,8 @@ def girm_var_penalty(env_grads: EnvGradientSet) -> T.Tensor:
     return total
 
 
-def irm_baseline_penalty(model: MtlModel, binding: TapeBinding, env_batches,
-                         create_graph: bool = True) -> T.Tensor:
+def irm_baseline_penalty(model: MtlModel, binding: TapeBinding,
+                         env_batches) -> T.Tensor:
     """Squared norms of env-risk gradients w.r.t. routing row AND head
     parameters.  This is the multi-task IRM adaptation: unlike the
     graph-invariance penalties, heads are not detached."""
@@ -236,7 +235,7 @@ def irm_baseline_penalty(model: MtlModel, binding: TapeBinding, env_batches,
             row = model.routing_row(binding, t)
             risk = env_task_risk(model, binding, batch, t, zs=zs, a_row=row)
             head_leaves = binding.leaves_for(model.heads[t].parameters())
-            gm = T.grad(risk, [row, *head_leaves], create_graph=create_graph)
+            gm = T.grad(risk, [row, *head_leaves], create_graph=True)
             for target in (row, *head_leaves):
                 term = T.l2_norm_sq(gm.get(target))
                 total = term if total is None else T.add(total, term)
@@ -244,8 +243,7 @@ def irm_baseline_penalty(model: MtlModel, binding: TapeBinding, env_batches,
 
 
 def girm_penalty(model: MtlModel, binding: TapeBinding, env_batches,
-                 variant: str, create_graph: bool = True,
-                 detach_heads: bool = True) -> T.Tensor | None:
+                 variant: str, detach_heads: bool = True) -> T.Tensor | None:
     """Dispatch on the invariance-penalty variant; None when disabled.
 
     ``detach_heads=False`` is a test hook for demonstrating the detachment
@@ -254,49 +252,11 @@ def girm_penalty(model: MtlModel, binding: TapeBinding, env_batches,
     if variant == "none":
         return None
     if variant == "irm-baseline":
-        return irm_baseline_penalty(model, binding, env_batches, create_graph)
+        return irm_baseline_penalty(model, binding, env_batches)
     env_grads = environment_gradients(model, binding, env_batches,
-                                      create_graph=create_graph,
                                       detach_heads=detach_heads)
     if variant == "norm":
         return girm_norm_penalty(env_grads)
     if variant == "var":
         return girm_var_penalty(env_grads)
     raise RegularizerError(f"unknown girm variant '{variant}'")
-
-
-def total_regularized_loss(model: MtlModel, binding: TapeBinding, train_batch,
-                           env_batches, weights: PenaltyWeights):
-    """Task risks + decorrelation + graph regularization (+ invariance
-    penalty), accumulated in training order.
-
-    Task risks come from the training batch only; the environment batches
-    feed the invariance penalty.  Returns (total tensor, parts dict).
-    """
-    assert train_batch.env_id == "train", \
-        "task risks must be computed on the training environment only"
-    zs = model.encode(binding, train_batch.inputs)
-    a = model.routing.weights(binding)
-    parts = {}
-    total = None
-    risks = []
-    for t in range(model.tasks):
-        risk = env_task_risk(model, binding, train_batch, t, zs=zs,
-                             a_row=T.narrow(a, 0, t, 1))
-        risks.append(float(risk.data))
-        total = risk if total is None else T.add(total, risk)
-    parts["task_risks"] = risks
-    if weights.lambda_decor > 0:
-        decor = decorrelation_loss(zs, weights.lambda_decor)
-        parts["decor"] = float(decor.data)
-        total = T.add(total, decor)
-    if weights.lambda_sps > 0 or weights.lambda_bal > 0:
-        graph = graph_reg_loss(a, weights.lambda_sps, weights.lambda_bal)
-        parts["graph"] = float(graph.data)
-        total = T.add(total, graph)
-    if weights.girm_variant != "none" and weights.lambda_girm > 0:
-        penalty = girm_penalty(model, binding, env_batches,
-                               weights.girm_variant)
-        parts["girm"] = float(penalty.data)
-        total = T.add(total, T.scale(penalty, weights.lambda_girm))
-    return total, parts

