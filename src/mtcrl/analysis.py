@@ -32,8 +32,8 @@ def factor_gradient(model: MtlModel, t: int, batch) -> np.ndarray:
     tape = T.Tape()
     binding = TapeBinding(tape)
     x = tape.leaf(batch.inputs)
-    zs = model.encode(binding, x)
-    out = model.predict(binding, t, zs=zs)
+    z = model.encode(binding, x)
+    out = model.predict(binding, t, z=z)
     if model.loss_kinds[t] == "xent":
         labels = np.asarray(batch.labels[t]).astype(np.int64)
         onehot = np.zeros(out.shape)
@@ -59,18 +59,9 @@ def spurious_score(grad_per_dim: np.ndarray, causal_mask: np.ndarray) -> float:
     return float(grad_per_dim[~mask].sum() / total)
 
 
-def model_spurious_scores(model: MtlModel, batch) -> dict:
-    """Per-task spurious scores of a model on one batch."""
-    return {
-        t: spurious_score(factor_gradient(model, t, batch),
-                          batch.causal_masks[t])
-        for t in range(model.tasks)
-    }
-
-
 @dataclass
 class CorrHeatmap:
-    matrix: np.ndarray          # d x d correlations over concatenated outputs
+    matrix: np.ndarray          # d x d correlations over all module outputs
     block_boundaries: tuple     # column indices where module blocks start
 
     def max_cross_block(self) -> float:
@@ -115,11 +106,11 @@ def task_module_gradients(model: MtlModel, env_batches) -> TaskModuleGradients:
     for batch in env_batches:
         tape = T.Tape()
         binding = TapeBinding(tape)
-        zs = model.encode(binding, batch.inputs)
+        z = model.encode(binding, batch.inputs)
         table = np.zeros((model.tasks, model.k))
         for t in range(model.tasks):
             row = model.routing_row(binding, t)
-            risk = env_task_risk(model, binding, batch, t, zs=zs, a_row=row)
+            risk = env_task_risk(model, binding, batch, t, z=z, a_row=row)
             table[t] = T.grad(risk, [row]).get(row).data.ravel()
         per_env[batch.env_id] = table
     ids = [b.env_id for b in env_batches]

@@ -133,7 +133,8 @@ def cmd_table2(args) -> int:
 def cmd_sweep_tasks(args) -> int:
     payload = _load_json(args.config)
     base = _train_config(payload.get("base", {}), args)
-    task_counts = payload.get("tasks", [2, 4, 6, 8])
+    task_counts = _parse(lambda tasks: harness.task_sweep_counts(tasks, base),
+                         payload.get("tasks", [2, 4, 6, 8]))
     out = _out_dir(args)
     result = harness.run_task_sweep(task_counts, base)
     _write_rows_csv(out / "task_sweep.csv", result["rows"],

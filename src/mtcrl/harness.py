@@ -184,19 +184,19 @@ def step_gradients(model: MtlModel, train_batch, env_batches,
     tape = tape or T.Tape()
     tape.reset()
     binding = TapeBinding(tape)
-    zs = model.encode(binding, train_batch.inputs)
+    z = model.encode(binding, train_batch.inputs)
     a = model.routing.weights(binding)
     parts = {}
     loss = None
     risks = []
     for t in range(model.tasks):
-        risk = env_task_risk(model, binding, train_batch, t, zs=zs,
+        risk = env_task_risk(model, binding, train_batch, t, z=z,
                              a_row=T.narrow(a, 0, t, 1))
         risks.append(float(risk.data))
         loss = risk if loss is None else T.add(loss, risk)
     parts["task_risks"] = risks
     if weights.lambda_decor > 0:
-        decor = decorrelation_loss(zs, weights.lambda_decor)
+        decor = decorrelation_loss(z, model.k, weights.lambda_decor)
         parts["decor"] = float(decor.data)
         loss = T.add(loss, decor)
     if weights.lambda_sps > 0 or weights.lambda_bal > 0:
@@ -215,7 +215,8 @@ def step_gradients(model: MtlModel, train_batch, env_batches,
     if weights.girm_variant != "none" and weights.lambda_girm > 0:
         penalty = girm_penalty(model, binding, env_batches,
                                weights.girm_variant,
-                               detach_heads=detach_heads)
+                               detach_heads=detach_heads,
+                               encoded=[(train_batch, z)])
         parts["girm"] = float(penalty.data)
         pen = T.grad(penalty, leaves)
         for p, leaf in zip(params, leaves):
@@ -242,10 +243,10 @@ def evaluate(model: MtlModel, batch) -> dict:
     tape = T.Tape()
     tape.recording = False
     binding = TapeBinding(tape)
-    zs = model.encode(binding, batch.inputs)
+    z = model.encode(binding, batch.inputs)
     risks, accs = [], []
     for t in range(model.tasks):
-        pred = model.predict(binding, t, zs=zs)
+        pred = model.predict(binding, t, z=z)
         kind = model.loss_kinds[t]
         y = batch.labels[t]
         if kind == "mse":
@@ -496,18 +497,23 @@ def spearman(xs, ys) -> float:
     return float((rx * ry).sum() / denom) if denom > 0 else 0.0
 
 
-def run_task_sweep(task_counts, base: TrainConfig) -> dict:
-    """MTL vs STL across task counts, with monotone-trend verdicts."""
+def task_sweep_counts(task_counts, base: TrainConfig) -> list[int]:
+    """The task counts of a sweep over ``base``, checked."""
     if not isinstance(base.dataset, SemSpec):
         raise HarnessError("the task sweep is defined for the SEM testbed")
-    if any(t < 2 for t in task_counts):
+    if any(int(t) < 2 for t in task_counts):
         raise HarnessError("task counts must be >= 2")
+    return [int(t) for t in task_counts]
+
+
+def run_task_sweep(task_counts, base: TrainConfig) -> dict:
+    """MTL vs STL across task counts, with monotone-trend verdicts."""
     configs, keys = [], []
-    for n_tasks in task_counts:
-        spec = replace(base.dataset, tasks=int(n_tasks))
+    for n_tasks in task_sweep_counts(task_counts, base):
+        spec = replace(base.dataset, tasks=n_tasks)
         for mode in ("mtl-vanilla", "stl"):
             configs.append(replace(base, dataset=spec, mode=mode))
-            keys.append((mode, int(n_tasks)))
+            keys.append((mode, n_tasks))
     reports = run_configs(configs)
     rows = {}
     for (mode, n_tasks), rep in zip(keys, reports):

@@ -68,31 +68,53 @@ def _init_weight(rng, fan_in: int, shape) -> np.ndarray:
 
 
 class Mlp:
-    """Feed-forward stack; activation applied between layers, not after the last."""
+    """Feed-forward stack; activation applied between layers, not after the last.
 
-    def __init__(self, name: str, widths, activation: str, rng):
+    ``copies`` runs that many stacks side by side: the first layer holds
+    their columns next to each other, and later layers are block-diagonal
+    under a constant mask."""
+
+    def __init__(self, name: str, widths, activation: str, rng,
+                 copies: int = 1):
         if activation not in ACTIVATIONS:
             raise ModelError(f"unknown activation '{activation}'")
         if len(widths) < 2:
             raise ModelError("an MLP needs at least input and output widths")
-        self.name = name
         self.widths = tuple(int(w) for w in widths)
         self.activation = activation
-        self.layers = []
-        for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
-            w = Parameter(f"{name}.layer{i}.weight",
-                          _init_weight(rng, fan_in, (fan_in, fan_out)))
-            b = Parameter(f"{name}.layer{i}.bias",
-                          _init_weight(rng, fan_in, (1, fan_out)))
-            self.layers.append((w, b))
+        self.layers, self.masks = [], []
+        fans = list(zip(self.widths[:-1], self.widths[1:]))
+        for i, (fan_in, fan_out) in enumerate(fans):
+            rows, cols = fan_in * copies if i else fan_in, fan_out * copies
+            self.layers.append((
+                Parameter(f"{name}.layer{i}.weight", np.zeros((rows, cols))),
+                Parameter(f"{name}.layer{i}.bias", np.zeros((1, cols)))))
+            self.masks.append(
+                T.Tensor(np.kron(np.eye(copies), np.ones((fan_in, fan_out))))
+                if i and copies > 1 else None)
+        # copy by copy, layer by layer, weight before bias: the draw order
+        # of separate stacks, so one seed gives the same weights
+        for c in range(copies):
+            for i, (fan_in, _) in enumerate(fans):
+                for view in self.block(c, i):
+                    view[...] = _init_weight(rng, fan_in, view.shape)
+
+    def block(self, c: int, i: int):
+        """Writable ``(weight, bias)`` views of copy ``c`` in layer ``i``."""
+        w, b = self.layers[i]
+        fan_in, fan_out = self.widths[i], self.widths[i + 1]
+        cols = slice(c * fan_out, (c + 1) * fan_out)
+        rows = slice(None) if i == 0 else slice(c * fan_in, (c + 1) * fan_in)
+        return w.value[rows, cols], b.value[:, cols]
 
     def forward(self, binding: TapeBinding, x: T.Tensor,
                 detach: bool = False) -> T.Tensor:
         get = binding.const if detach else binding.leaf
         h = x
         last = len(self.layers) - 1
-        for i, (w, b) in enumerate(self.layers):
-            h = T.add(T.matmul(h, get(w)), get(b))
+        for i, ((w, b), mask) in enumerate(zip(self.layers, self.masks)):
+            weight = get(w) if mask is None else T.multiply(get(w), mask)
+            h = T.add(T.matmul(h, weight), get(b))
             if i < last:
                 if self.activation == "tanh":
                     h = T.tanh(h)
@@ -105,7 +127,9 @@ class Mlp:
 
 
 class ModuleBank:
-    """K encoders with identical architecture, each input_dim -> d/K."""
+    """K encoders with identical architecture, each input_dim -> d/K, run as
+    one :class:`Mlp` of K copies.  Encodings are B x d; module i owns
+    columns [i*d/K, (i+1)*d/K)."""
 
     def __init__(self, k: int, input_dim: int, total_dim: int, hidden,
                  activation: str, rng):
@@ -118,38 +142,38 @@ class ModuleBank:
         self.k = k
         self.input_dim = int(input_dim)
         self.module_dim = total_dim // k
-        widths = (input_dim, *hidden, self.module_dim)
-        self.encoders = [
-            Mlp(f"module{i}", widths, activation, rng) for i in range(k)
-        ]
+        self.net = Mlp("bank", (input_dim, *hidden, self.module_dim),
+                       activation, rng, copies=k)
+        # routing row -> per-column weights (K x d); d columns -> module sum
+        self._expand = T.Tensor(np.kron(np.eye(k), np.ones((1, self.module_dim))))
+        self._fold = T.Tensor(np.kron(np.ones((k, 1)), np.eye(self.module_dim)))
 
-    def encode(self, binding: TapeBinding, x: T.Tensor) -> list[T.Tensor]:
+    def encode(self, binding: TapeBinding, x: T.Tensor) -> T.Tensor:
         if x.shape[1] != self.input_dim:
             raise ModelError(
                 f"input dim {x.shape[1]} does not match encoder spec "
                 f"{self.input_dim}"
             )
-        return [enc.forward(binding, x) for enc in self.encoders]
+        return self.net.forward(binding, x)
+
+    def route(self, a_row: T.Tensor, z: T.Tensor) -> T.Tensor:
+        """Fuse module outputs: sum_i a_row[i] * (module i's columns of z)."""
+        if a_row.size != self.k:
+            raise ModelError(
+                f"routing row has {a_row.size} weights for {self.k} modules")
+        if self.k == 1:
+            # the expand/fold products would only cost time at K = 1
+            return T.multiply(z, a_row)
+        return T.matmul(T.multiply(z, T.matmul(a_row, self._expand)),
+                        self._fold)
 
     def parameters(self) -> list[Parameter]:
-        return [p for enc in self.encoders for p in enc.parameters()]
+        return self.net.parameters()
 
 
 def routing_weights(theta: T.Tensor) -> T.Tensor:
     """Elementwise sigmoid of the routing logits."""
     return T.sigmoid(theta)
-
-
-def route(a_row: T.Tensor, zs) -> T.Tensor:
-    """Fuse module outputs: sum_i a_row[i] * zs[i].  a_row is 1 x K."""
-    k = a_row.size
-    if k != len(zs):
-        raise ModelError(f"routing row has {k} weights for {len(zs)} modules")
-    fused = None
-    for i, z in enumerate(zs):
-        term = T.multiply(z, T.narrow(T.reshape(a_row, (1, k)), 1, i, 1))
-        fused = term if fused is None else T.add(fused, term)
-    return fused
 
 
 class RoutingGraph:
@@ -196,7 +220,7 @@ class MtlModel:
         if not 0 <= t < self.tasks:
             raise UnknownTaskError(f"task {t} out of range [0, {self.tasks})")
 
-    def encode(self, binding: TapeBinding, x) -> list[T.Tensor]:
+    def encode(self, binding: TapeBinding, x) -> T.Tensor:
         if not isinstance(x, T.Tensor):
             x = T.Tensor(x)
         return self.bank.encode(binding, x)
@@ -205,21 +229,21 @@ class MtlModel:
         self._check_task(t)
         return T.narrow(self.routing.weights(binding), 0, t, 1)
 
-    def predict(self, binding: TapeBinding, t: int, x=None, zs=None,
+    def predict(self, binding: TapeBinding, t: int, x=None, z=None,
                 a_row=None, detach_heads: bool = False) -> T.Tensor:
         """f_t applied to the routed fusion of module outputs.
 
-        ``zs`` / ``a_row`` let callers reuse shared encodings or supply an
+        ``z`` / ``a_row`` let callers reuse a shared encoding or supply an
         explicit routing row (e.g. one that gradients are taken against).
         """
         self._check_task(t)
-        if zs is None:
+        if z is None:
             if x is None:
-                raise ModelError("predict needs either x or precomputed zs")
-            zs = self.encode(binding, x)
+                raise ModelError("predict needs either x or a precomputed z")
+            z = self.encode(binding, x)
         if a_row is None:
             a_row = self.routing_row(binding, t)
-        fused = route(a_row, zs)
+        fused = self.bank.route(a_row, z)
         return self.heads[t].forward(binding, fused, detach=detach_heads)
 
     def encoder_parameters(self) -> list[Parameter]:
@@ -234,19 +258,29 @@ class MtlModel:
     # --- checkpointing ----------------------------------------------------
 
     def state_dict(self) -> dict:
-        return {p.name: p.value for p in self.parameters()}
+        """Checkpoint arrays: each module's layers (views into the bank),
+        then the routing logits and the heads."""
+        net = self.bank.net
+        state = {}
+        for c in range(self.k):
+            for i in range(len(net.layers)):
+                for kind, view in zip(("weight", "bias"), net.block(c, i)):
+                    state[f"module{c}.layer{i}.{kind}"] = view
+        for p in [self.routing.theta, *self.head_parameters()]:
+            state[p.name] = p.value
+        return state
 
     def load_state(self, arrays: dict):
-        for p in self.parameters():
-            if p.name not in arrays:
-                raise ModelError(f"checkpoint missing parameter '{p.name}'")
-            value = np.asarray(arrays[p.name], dtype=np.float64)
-            if value.shape != p.value.shape:
-                raise ModelError(
-                    f"checkpoint shape {value.shape} != {p.value.shape} "
-                    f"for '{p.name}'"
-                )
-            p.value = value
+        """Write every named array in place, once all names and shapes match."""
+        state = self.state_dict()
+        for name, target in state.items():
+            if name not in arrays:
+                raise ModelError(f"checkpoint missing parameter '{name}'")
+            if np.shape(arrays[name]) != target.shape:
+                raise ModelError(f"checkpoint shape {np.shape(arrays[name])} "
+                                 f"!= {target.shape} for '{name}'")
+        for name, target in state.items():
+            target[...] = arrays[name]
 
 
 def save_checkpoint(path, model: MtlModel, config_hash: str):

@@ -83,19 +83,3 @@ def vanilla_mmoe_config(seed: int = 0) -> TrainConfig:
     """Same architecture as :func:`mtcrl_sem_config` with no regularizers."""
     return replace(mtcrl_sem_config(seed), mode="mtl-vanilla")
 
-
-def linear_probe_config(seed: int = 0) -> TrainConfig:
-    """Purely linear model on a strongly coupled training split; used to
-    show the trained weights land on non-causal dimensions."""
-    spec = replace(desk_sem_spec(seed=seed), m_c_train=0.9)
-    return TrainConfig(
-        dataset=spec,
-        mode="mtl-vanilla",
-        k_modules=1,
-        total_module_dim=8,
-        encoder_hidden=(),
-        encoder_activation="linear",
-        epochs=150,
-        learning_rate=1e-2,
-        seed=seed,
-    )

@@ -82,11 +82,10 @@ def pearson_corr(zi: T.Tensor, zj: T.Tensor,
     return T.multiply(T.multiply(cov, T.transpose(inv_i)), inv_j)
 
 
-def module_correlation(zs, variance_floor: float = VARIANCE_FLOOR) -> T.Tensor:
-    """Correlation matrix over all columns of the concatenated module
-    outputs, from one centering and one variance vector (d x d, d the
-    summed module widths)."""
-    z = T.concatenate(zs, axis=1)
+def module_correlation(z: T.Tensor,
+                       variance_floor: float = VARIANCE_FLOOR) -> T.Tensor:
+    """Correlation matrix over all columns of the module encodings ``z``
+    (B x d), from one centering and one variance vector (d x d)."""
     if z.shape[0] < 2:
         raise RegularizerError(
             f"module_correlation needs >= 2 rows, got {z.shape[0]}"
@@ -96,25 +95,27 @@ def module_correlation(zs, variance_floor: float = VARIANCE_FLOOR) -> T.Tensor:
     return T.multiply(T.multiply(cov, T.transpose(inv)), inv)
 
 
-def decorrelation_loss(zs, lambda_decor: float,
+def decorrelation_loss(z: T.Tensor, k: int, lambda_decor: float,
                        variance_floor: float = VARIANCE_FLOOR) -> T.Tensor:
     """Squared Frobenius norms of pairwise module correlations, summed i<j.
 
+    ``z`` holds the ``k`` modules' outputs side by side, d/k columns each.
     Computed as half the squared norm of the full module correlation matrix
     with its within-module diagonal blocks masked to zero; the matrix is
     symmetric, so each pair (i, j) appears twice.
     """
-    if len(zs) < 2:
+    if k < 2:
         return T.Tensor(0.0)
-    block = np.repeat(np.arange(len(zs)), [z.shape[1] for z in zs])
+    block = np.repeat(np.arange(k), z.shape[1] // k)
     cross = T.Tensor((block[:, None] != block[None, :]).astype(np.float64))
-    rho = T.multiply(module_correlation(zs, variance_floor), cross)
+    rho = T.multiply(module_correlation(z, variance_floor), cross)
     return T.scale(T.l2_norm_sq(rho), 0.5 * lambda_decor)
 
 
 def graph_reg_loss(a, lambda_sps: float, lambda_bal: float) -> T.Tensor:
     """L1 sparsity minus entropy balance over the routing matrix's module masses.
 
+    The weights lie in [0, 1], so the L1 norm is the total routing mass.
     The entropy argument is the per-module share of the total routing mass;
     zero-mass modules contribute 0 (0*log 0 := 0).  An all-zero matrix is
     degenerate: both terms are 0 and a warning is emitted.
@@ -127,14 +128,14 @@ def graph_reg_loss(a, lambda_sps: float, lambda_bal: float) -> T.Tensor:
         warnings.warn("all-zero routing matrix: graph loss degenerates to 0",
                       RuntimeWarning, stacklevel=2)
         return T.Tensor(0.0)
-    l1 = T.sum_(T.absolute(a))
     col = T.sum_(a, axis=0)
     total = T.sum_(a)
     mass = T.multiply(col, T.pow_const(total, -1.0))
     zero_mask = (col.data == 0).astype(np.float64)
     safe = T.add(mass, T.Tensor(zero_mask))  # log(0+1)=0 where mass is 0
     entropy = T.scale(T.sum_(T.multiply(mass, T.log(safe))), -1.0)
-    return T.subtract(T.scale(l1, lambda_sps), T.scale(entropy, lambda_bal))
+    return T.subtract(T.scale(total, lambda_sps),
+                      T.scale(entropy, lambda_bal))
 
 
 def task_loss(pred: T.Tensor, labels: np.ndarray, kind: str) -> T.Tensor:
@@ -148,13 +149,13 @@ def task_loss(pred: T.Tensor, labels: np.ndarray, kind: str) -> T.Tensor:
 
 
 def env_task_risk(model: MtlModel, binding: TapeBinding, batch, t: int,
-                  zs=None, a_row=None, detach_heads: bool = False) -> T.Tensor:
+                  z=None, a_row=None, detach_heads: bool = False) -> T.Tensor:
     """Mean task loss of task ``t`` over one environment batch."""
     if t not in batch.labels:
         raise EmptyBatchError(f"batch '{batch.env_id}' has no labels for task {t}")
     if batch.inputs.shape[0] == 0:
         raise EmptyBatchError(f"batch '{batch.env_id}' is empty")
-    pred = model.predict(binding, t, x=batch.inputs, zs=zs, a_row=a_row,
+    pred = model.predict(binding, t, x=batch.inputs, z=z, a_row=a_row,
                          detach_heads=detach_heads)
     return task_loss(pred, batch.labels[t], model.loss_kinds[t])
 
@@ -172,26 +173,40 @@ class EnvGradientSet:
         return [by_env[e] for e in self.env_order]
 
 
+def _encodings(model: MtlModel, binding: TapeBinding, env_batches, encoded):
+    """``(batch, z)`` per environment, reusing the encoding of any batch
+    that is itself one of the ``(batch, z)`` pairs in ``encoded``."""
+    if not env_batches:
+        raise RegularizerError("need at least one environment")
+    for batch in env_batches:
+        z = next((z for b, z in encoded if b is batch), None)
+        yield batch, model.encode(binding, batch.inputs) if z is None else z
+
+
 def environment_gradients(model: MtlModel, binding: TapeBinding, env_batches,
-                          detach_heads: bool = True) -> EnvGradientSet:
+                          detach_heads: bool = True,
+                          encoded=()) -> EnvGradientSet:
     """Routing-row gradients of every (task, environment) risk.
+
+    Each risk is built on its own routing-row node and one create_graph
+    gradient of their sum is taken w.r.t. all rows: a row feeds only its
+    own risk, so its entry is exactly that risk's gradient.
 
     Heads are detached by default: the per-task predictors are treated as
     fixed inside the invariance penalties, so the penalties contribute
     exactly zero gradient to head parameters.
     """
-    if not env_batches:
-        raise RegularizerError("need at least one environment")
-    grads = {t: {} for t in range(model.tasks)}
-    for batch in env_batches:
-        zs = model.encode(binding, batch.inputs)
+    rows, total = {}, None
+    for batch, z in _encodings(model, binding, env_batches, encoded):
         for t in range(model.tasks):
             row = model.routing_row(binding, t)
-            risk = env_task_risk(model, binding, batch, t, zs=zs, a_row=row,
+            risk = env_task_risk(model, binding, batch, t, z=z, a_row=row,
                                  detach_heads=detach_heads)
-            grads[t][batch.env_id] = T.grad(
-                risk, [row], create_graph=True
-            ).get(row)
+            rows[t, batch.env_id] = row
+            total = risk if total is None else T.add(total, risk)
+    gm = T.grad(total, list(rows.values()), create_graph=True)
+    grads = {t: {e: gm.get(row) for (u, e), row in rows.items() if u == t}
+             for t in range(model.tasks)}
     return EnvGradientSet(grads, tuple(b.env_id for b in env_batches))
 
 
@@ -222,18 +237,16 @@ def girm_var_penalty(env_grads: EnvGradientSet) -> T.Tensor:
 
 
 def irm_baseline_penalty(model: MtlModel, binding: TapeBinding,
-                         env_batches) -> T.Tensor:
+                         env_batches, encoded=()) -> T.Tensor:
     """Squared norms of env-risk gradients w.r.t. routing row AND head
     parameters.  This is the multi-task IRM adaptation: unlike the
-    graph-invariance penalties, heads are not detached."""
-    if not env_batches:
-        raise RegularizerError("need at least one environment")
+    graph-invariance penalties, heads are not detached; environments share
+    them, so each (task, environment) takes its own inner gradient."""
     total = None
-    for batch in env_batches:
-        zs = model.encode(binding, batch.inputs)
+    for batch, z in _encodings(model, binding, env_batches, encoded):
         for t in range(model.tasks):
             row = model.routing_row(binding, t)
-            risk = env_task_risk(model, binding, batch, t, zs=zs, a_row=row)
+            risk = env_task_risk(model, binding, batch, t, z=z, a_row=row)
             head_leaves = binding.leaves_for(model.heads[t].parameters())
             gm = T.grad(risk, [row, *head_leaves], create_graph=True)
             for target in (row, *head_leaves):
@@ -243,18 +256,21 @@ def irm_baseline_penalty(model: MtlModel, binding: TapeBinding,
 
 
 def girm_penalty(model: MtlModel, binding: TapeBinding, env_batches,
-                 variant: str, detach_heads: bool = True) -> T.Tensor | None:
+                 variant: str, detach_heads: bool = True,
+                 encoded=()) -> T.Tensor | None:
     """Dispatch on the invariance-penalty variant; None when disabled.
 
+    ``encoded`` passes ``(batch, z)`` pairs already encoded on this tape.
     ``detach_heads=False`` is a test hook for demonstrating the detachment
     contract; the baseline variant never detaches by definition.
     """
     if variant == "none":
         return None
     if variant == "irm-baseline":
-        return irm_baseline_penalty(model, binding, env_batches)
+        return irm_baseline_penalty(model, binding, env_batches, encoded)
     env_grads = environment_gradients(model, binding, env_batches,
-                                      detach_heads=detach_heads)
+                                      detach_heads=detach_heads,
+                                      encoded=encoded)
     if variant == "norm":
         return girm_norm_penalty(env_grads)
     if variant == "var":

@@ -88,7 +88,12 @@ class Tape:
         self.recording = True
 
     def reset(self):
-        """Drop all nodes; tensors from before the reset become stale."""
+        """Drop all nodes; tensors from before the reset become stale.
+
+        Dropping the rules first breaks the cycle of rules that hold their
+        own output (``tanh``), so nodes are freed without the cycle GC."""
+        for node in self.nodes:
+            node.vjp = None
         self.nodes.clear()
         self.parameters.clear()
         self.generation += 1
@@ -288,7 +293,9 @@ def matmul(a, b) -> Tensor:
         return (matmul(g, transpose(b)) if needs[0] else None,
                 matmul(transpose(a), g) if needs[1] else None)
 
-    return _make("matmul", a.data @ b.data, (a, b), vjp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = a.data @ b.data
+    return _make("matmul", data, (a, b), vjp)
 
 
 def transpose(a) -> Tensor:
@@ -402,16 +409,6 @@ def square(a) -> Tensor:
     return _make("square", a.data * a.data, (a,), vjp)
 
 
-def absolute(a) -> Tensor:
-    a = _lift(a)
-    sign = Tensor(np.sign(a.data))  # derivative at 0 defined as 0
-
-    def vjp(g, needs):
-        return (multiply(g, sign),)
-
-    return _make("absolute", np.abs(a.data), (a,), vjp)
-
-
 def pow_const(a, p: float) -> Tensor:
     a = _lift(a)
     p = float(p)
@@ -498,38 +495,8 @@ def scatter_narrow(g, axis: int, start: int, target_shape) -> Tensor:
     return _make("scatter", data, (g,), vjp)
 
 
-def concatenate(tensors, axis: int = 0) -> Tensor:
-    tensors = [_lift(t) for t in tensors]
-    if not tensors:
-        raise ShapeMismatchError("operation 'concatenate': no inputs")
-    ndim = tensors[0].data.ndim
-    axis = axis % ndim
-    for t in tensors[1:]:
-        if t.data.ndim != ndim or any(
-            i != axis and t.shape[i] != tensors[0].shape[i] for i in range(ndim)
-        ):
-            raise ShapeMismatchError(
-                f"operation 'concatenate': shapes "
-                f"{[t.shape for t in tensors]} differ off axis {axis}"
-            )
-    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
-
-    def vjp(g, needs):
-        return tuple(
-            narrow(g, axis, int(offsets[i]), t.shape[axis]) if need else None
-            for i, (t, need) in enumerate(zip(tensors, needs))
-        )
-
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    return _make("concatenate", data, tuple(tensors), vjp)
-
-
 # ---------------------------------------------------------------------------
 # composite ops (built from primitives; second order comes for free)
-
-
-def l1_norm(a) -> Tensor:
-    return sum_(absolute(a))
 
 
 def l2_norm_sq(a) -> Tensor:

@@ -3,8 +3,8 @@ import pytest
 
 from mtcrl import tensor as T
 from mtcrl.analysis import (AnalysisError, UndefinedScoreError, CorrHeatmap,
-                            factor_gradient, model_spurious_scores,
-                            module_corr_heatmap, spurious_score, svg_heatmap,
+                            factor_gradient, module_corr_heatmap,
+                            spurious_score, svg_heatmap,
                             task_module_gradients, task_similarity,
                             write_matrix_csv)
 from mtcrl.data import EnvironmentBatch
@@ -42,10 +42,11 @@ class TestFactorGradient:
                          encoder_hidden=(), encoder_activation="linear",
                          head_hidden=(), head_out_dims=[1],
                          loss_kinds=["mse"], rng=rng)
-        model.bank.encoders[0].layers[0][0].value = np.eye(4)
-        model.bank.encoders[0].layers[0][1].value[:] = 0.0
-        model.heads[0].layers[0][0].value = w[:, None]
-        model.heads[0].layers[0][1].value[:] = 0.0
+        model.load_state({**model.state_dict(),
+                          "module0.layer0.weight": np.eye(4),
+                          "module0.layer0.bias": np.zeros((1, 4)),
+                          "head0.layer0.weight": w[:, None],
+                          "head0.layer0.bias": np.zeros((1, 1))})
         model.routing.theta.value[:] = 60.0  # routing weight ~ 1
         batch = make_batch(tasks=1, n=7, seed=2)
         grad = factor_gradient(model, 0, batch)
@@ -53,8 +54,10 @@ class TestFactorGradient:
 
     def test_dead_input_dimension_gets_zero(self):
         model = make_model(seed=3)
-        for enc in model.bank.encoders:
-            enc.layers[0][0].value[2, :] = 0.0  # input dim 2 disconnected
+        state = {n: v.copy() for n, v in model.state_dict().items()}
+        for c in range(model.k):
+            state[f"module{c}.layer0.weight"][2, :] = 0.0  # input dim 2 disconnected
+        model.load_state(state)
         batch = make_batch(seed=3)
         assert factor_gradient(model, 0, batch)[2] == 0.0
 
@@ -117,12 +120,6 @@ class TestSpuriousScore:
         with pytest.raises(AnalysisError):
             spurious_score(np.ones(3), np.ones(4, dtype=bool))
 
-    def test_model_scores_per_task(self):
-        model = make_model(seed=7)
-        scores = model_spurious_scores(model, make_batch(seed=7))
-        assert set(scores) == {0, 1}
-        assert all(0.0 <= v <= 1.0 for v in scores.values())
-
 
 class TestCorrHeatmap:
     def test_single_module_has_no_cross_block(self):
@@ -133,11 +130,10 @@ class TestCorrHeatmap:
 
     def test_duplicated_module_cross_diagonal_is_one(self):
         model = make_model(k=2, total_dim=4, seed=9)
-        src = model.bank.encoders[0]
-        dst = model.bank.encoders[1]
-        for (ws, bs), (wd, bd) in zip(src.layers, dst.layers):
-            wd.value = ws.value.copy()
-            bd.value = bs.value.copy()
+        state = model.state_dict()
+        model.load_state({**state, **{
+            name.replace("module0", "module1"): value.copy()
+            for name, value in state.items() if name.startswith("module0.")}})
         heat = module_corr_heatmap(model, make_batch(seed=9))
         cross_diag = np.diagonal(heat.matrix[2:, :2])
         np.testing.assert_allclose(cross_diag, 1.0, atol=1e-6)

@@ -58,6 +58,8 @@ class TestUsageErrors:
         ("ablate", {"base": {"bogus": 1}}),
         ("table2", {"datasets": [{"name": "sem", "bogus": 1}]}),
         ("gen-data", {"dataset": {"kind": "multisem", "bogus": 1}}),
+        ("sweep-tasks", {"tasks": [1, 2]}),
+        ("sweep-tasks", {"base": {"dataset": {"kind": "multimnist"}}}),
     ])
     def test_bad_driver_config_exits_two(self, command, payload, tmp_path,
                                          capsys):

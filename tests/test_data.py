@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,7 +127,7 @@ class TestIdx:
 
     def test_truncated_file(self, tmp_path):
         ipath, _, _, _ = fake_digits(tmp_path)
-        data = open(ipath, "rb").read()
+        data = Path(ipath).read_bytes()
         path = tmp_path / "trunc.idx"
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(IdxFormatError, match="truncated"):

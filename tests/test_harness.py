@@ -133,13 +133,11 @@ class TestTrainStep:
                          encoder_hidden=(), encoder_activation="linear",
                          head_hidden=(), head_out_dims=[1],
                          loss_kinds=["mse"], rng=rng)
-        enc_w, enc_b = model.bank.encoders[0].layers[0]
-        head_w, head_b = model.heads[0].layers[0]
-        enc_w.value = np.array([[1.0]])
-        enc_b.value[:] = 0.0
-        head_w.value = np.array([[2.0]])
-        head_b.value[:] = 0.0
-        model.routing.theta.value[:] = 0.0  # A = 0.5
+        model.load_state({"module0.layer0.weight": np.array([[1.0]]),
+                          "module0.layer0.bias": np.zeros((1, 1)),
+                          "head0.layer0.weight": np.array([[2.0]]),
+                          "head0.layer0.bias": np.zeros((1, 1)),
+                          "routing.theta": np.zeros((1, 1))})  # A = 0.5
         x, y = 3.0, 1.5
         batch = EnvironmentBatch("train", np.array([[x]]), {0: np.array([y])},
                                  {0: np.zeros(1, bool)})
@@ -152,8 +150,11 @@ class TestTrainStep:
         d_enc_w = 2 * r * 2.0 * 0.5 * x
         d_theta = 2 * r * 2.0 * x * 0.25  # sigmoid'(0) = 0.25
         train_step(model, batch, [batch], weights, opt)
-        assert head_w.value[0, 0] == pytest.approx(2.0 - lr * d_head_w, abs=1e-12)
-        assert enc_w.value[0, 0] == pytest.approx(1.0 - lr * d_enc_w, abs=1e-12)
+        state = model.state_dict()
+        assert state["head0.layer0.weight"][0, 0] == pytest.approx(
+            2.0 - lr * d_head_w, abs=1e-12)
+        assert state["module0.layer0.weight"][0, 0] == pytest.approx(
+            1.0 - lr * d_enc_w, abs=1e-12)
         assert model.routing.theta.value[0, 0] == pytest.approx(
             -lr * d_theta, abs=1e-12)
 
@@ -163,6 +164,37 @@ class TestTrainStep:
         with pytest.raises(AssertionError):
             step_gradients(model, batches[1], batches,
                            PenaltyWeights(0, 0, 0, 0, "none"))
+
+    def test_tape_does_not_grow_with_module_count(self, monkeypatch):
+        # one encoding per batch and three gradient calls: main backward,
+        # all inner routing gradients, and the penalty's backward
+        def counted(fn, calls):
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        grad_calls, encodes = [], []
+        monkeypatch.setattr(T, "grad", counted(T.grad, grad_calls))
+        monkeypatch.setattr(MtlModel, "encode",
+                            counted(MtlModel.encode, encodes))
+        batches = tiny_batches(seed=6)
+        nodes = []
+        for k in (2, 8):
+            model = MtlModel(tasks=2, k=k, input_dim=4, total_dim=16,
+                             encoder_hidden=(5,), encoder_activation="tanh",
+                             head_hidden=(), head_out_dims=[1, 1],
+                             loss_kinds=["mse", "mse"],
+                             rng=np.random.default_rng(6))
+            tape = T.Tape()
+            grad_calls.clear()
+            encodes.clear()
+            step_gradients(model, batches[0], batches,
+                           PenaltyWeights(1.0, 0.1, 0.5, 2.0, "var"), tape=tape)
+            nodes.append(len(tape.nodes))
+            assert len(grad_calls) == 3
+            assert len(encodes) == 2
+        assert nodes[0] == nodes[1]
 
     def test_nonfinite_loss_aborts(self):
         model = tiny_model(seed=5)

@@ -1,10 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mtcrl import tensor as T
 from mtcrl.model import (Mlp, ModelError, MtlModel, TapeBinding, UnknownTaskError,
-                         load_checkpoint, route, routing_weights, save_checkpoint)
+                         load_checkpoint, routing_weights, save_checkpoint)
 from mtcrl.oracles import BayesParams, bayes_posterior
+
+DATA = Path(__file__).parent / "data"
 
 
 def make_model(tasks=2, k=4, input_dim=6, total_dim=8, hidden=(5,), seed=0,
@@ -20,25 +24,28 @@ def fresh_binding():
     return TapeBinding(T.Tape())
 
 
+def set_arrays(model, arrays):
+    """Overwrite some of the model's checkpoint arrays by name."""
+    model.load_state({**model.state_dict(), **arrays})
+
+
 class TestEncode:
     def test_output_shape_contract(self):
         model = make_model()
-        zs = model.encode(fresh_binding(), np.random.default_rng(1).normal(size=(4, 6)))
-        assert len(zs) == 4
-        assert all(z.shape == (4, 2) for z in zs)
+        z = model.encode(fresh_binding(), np.random.default_rng(1).normal(size=(4, 6)))
+        assert z.shape == (4, 4 * 2)  # four modules of width two, side by side
 
     def test_single_module_is_shared_bottom(self):
         model = make_model(k=1, total_dim=8)
-        zs = model.encode(fresh_binding(), np.zeros((3, 6)))
-        assert len(zs) == 1 and zs[0].shape == (3, 8)
+        z = model.encode(fresh_binding(), np.zeros((3, 6)))
+        assert z.shape == (3, 8)
 
     def test_zero_weights_give_zero_outputs(self):
         model = make_model()
         for p in model.bank.parameters():
             p.value[:] = 0.0
-        zs = model.encode(fresh_binding(), np.ones((3, 6)))
-        for z in zs:
-            np.testing.assert_array_equal(z.data, 0.0)
+        z = model.encode(fresh_binding(), np.ones((3, 6)))
+        np.testing.assert_array_equal(z.data, 0.0)
 
     def test_input_dim_mismatch(self):
         with pytest.raises(ModelError, match="input dim"):
@@ -48,28 +55,53 @@ class TestEncode:
         with pytest.raises(ModelError, match="divisible"):
             make_model(k=3, total_dim=8)
 
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("hidden", [(), (5,)])
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_blocks_match_per_module_reference(self, k, hidden, activation):
+        # each module's columns equal its own network, run from the
+        # module's checkpoint arrays
+        model = make_model(k=k, total_dim=2 * k, hidden=hidden,
+                           activation=activation, seed=k)
+        x = np.random.default_rng(20).normal(size=(7, 6))
+        z = model.encode(fresh_binding(), x).data
+        state = model.state_dict()
+        depth = len(hidden) + 1
+        for c in range(k):
+            h = x
+            for i in range(depth):
+                h = (h @ state[f"module{c}.layer{i}.weight"]
+                     + state[f"module{c}.layer{i}.bias"])
+                if i < depth - 1:
+                    h = np.tanh(h) if activation == "tanh" else np.maximum(h, 0)
+            np.testing.assert_allclose(z[:, 2 * c:2 * c + 2], h, rtol=0,
+                                       atol=1e-12)
+
 
 class TestRoute:
     def test_one_hot_selects_module(self):
-        rng = np.random.default_rng(2)
-        zs = [T.Tensor(rng.normal(size=(3, 2))) for _ in range(4)]
+        bank = make_model(k=4, total_dim=8).bank
+        z = np.random.default_rng(2).normal(size=(3, 8))
         row = T.Tensor(np.array([[0.0, 0.0, 1.0, 0.0]]))
-        np.testing.assert_array_equal(route(row, zs).data, zs[2].data)
+        np.testing.assert_array_equal(bank.route(row, T.Tensor(z)).data,
+                                      z[:, 4:6])
 
     def test_all_zero_weights_annihilate(self):
-        zs = [T.Tensor(np.ones((2, 2))) for _ in range(3)]
-        out = route(T.Tensor(np.zeros((1, 3))), zs)
+        bank = make_model(k=3, total_dim=6).bank
+        out = bank.route(T.Tensor(np.zeros((1, 3))), T.Tensor(np.ones((2, 6))))
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_cancellation(self):
+        bank = make_model(k=2, total_dim=4).bank
         z = np.random.default_rng(3).normal(size=(3, 2))
-        out = route(T.Tensor(np.array([[0.5, 0.5]])),
-                    [T.Tensor(z), T.Tensor(-z)])
+        out = bank.route(T.Tensor(np.array([[0.5, 0.5]])),
+                         T.Tensor(np.hstack([z, -z])))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-16)
 
     def test_length_mismatch(self):
+        bank = make_model(k=3, total_dim=6).bank
         with pytest.raises(ModelError, match="routing row"):
-            route(T.Tensor(np.zeros((1, 2))), [T.Tensor(np.zeros((2, 2)))] * 3)
+            bank.route(T.Tensor(np.zeros((1, 2))), T.Tensor(np.zeros((2, 6))))
 
 
 class TestRoutingWeights:
@@ -103,9 +135,9 @@ class TestPredict:
         model.routing.theta.value[0] = [60.0, -60.0]  # saturates to (1, 0)
         binding = fresh_binding()
         x = np.random.default_rng(4).normal(size=(3, 6))
-        zs = model.encode(binding, x)
-        out = model.predict(binding, 0, zs=zs)
-        np.testing.assert_allclose(out.data, zs[0].data, atol=1e-12)
+        z = model.encode(binding, x)
+        out = model.predict(binding, 0, z=z)
+        np.testing.assert_allclose(out.data, z.data[:, :2], atol=1e-12)
 
     def test_unknown_task(self):
         with pytest.raises(UnknownTaskError):
@@ -119,13 +151,13 @@ class TestPredict:
         params = BayesParams.from_moments(mu_a, 1.0, mu_b, 1.0, 1.0)
         model = make_model(tasks=1, k=1, input_dim=2 * d, total_dim=2 * d,
                            hidden=(), head_out=[1])
-        enc_w, enc_b = model.bank.encoders[0].layers[0]
-        enc_w.value = np.eye(2 * d)
-        enc_b.value[:] = 0.0
-        head_w, head_b = model.heads[0].layers[0]
-        head_w.value = np.concatenate([2 * params.beta_a,
-                                       2 * params.beta_b])[:, None]
-        head_b.value[:] = 0.0
+        set_arrays(model, {
+            "module0.layer0.weight": np.eye(2 * d),
+            "module0.layer0.bias": np.zeros((1, 2 * d)),
+            "head0.layer0.weight": np.concatenate([2 * params.beta_a,
+                                                   2 * params.beta_b])[:, None],
+            "head0.layer0.bias": np.zeros((1, 1)),
+        })
         model.routing.theta.value[:] = 60.0  # routing weight saturates to 1
         for y_a, y_b in [(1, 1), (-1, -1)]:  # noiseless: F = y * mu
             f_a, f_b = y_a * mu_a, y_b * mu_b
@@ -140,21 +172,22 @@ class TestPredict:
         x = np.random.default_rng(6).normal(size=(4, 6))
         out = model.predict(fresh_binding(), 0, x=x).data
         # same arithmetic chain with plain numpy; tanh only between layers
-        (w1, b1), (w2, b2) = model.bank.encoders[0].layers
-        h = np.tanh(x @ w1.value + b1.value) @ w2.value + b2.value
+        s = model.state_dict()
+        h = (np.tanh(x @ s["module0.layer0.weight"] + s["module0.layer0.bias"])
+             @ s["module0.layer1.weight"] + s["module0.layer1.bias"])
         fused = h * model.routing.matrix()[0, 0]
-        hw, hb = model.heads[0].layers[0]
-        expected = fused @ hw.value + hb.value
+        expected = fused @ s["head0.layer0.weight"] + s["head0.layer0.bias"]
         np.testing.assert_array_equal(out, expected)
 
     def test_routing_linearity(self):
         model = make_model(k=3, total_dim=6, head_out=[1, 1])
         binding = fresh_binding()
         x = np.random.default_rng(7).normal(size=(4, 6))
-        zs = model.encode(binding, x)
+        z = model.encode(binding, x)
         coeffs = np.array([[0.2, 0.5, 0.3]])
-        fused = route(T.Tensor(coeffs), zs)
-        manual = sum(c * z.data for c, z in zip(coeffs[0], zs))
+        fused = model.bank.route(T.Tensor(coeffs), z)
+        manual = sum(c * z.data[:, 2 * i:2 * i + 2]
+                     for i, c in enumerate(coeffs[0]))
         np.testing.assert_allclose(fused.data, manual, atol=1e-15)
         via_head = model.heads[0].forward(binding, fused).data
         direct = model.heads[0].forward(binding, T.Tensor(manual)).data
@@ -190,6 +223,33 @@ class TestCheckpoint:
         bigger = make_model(k=2, total_dim=8)
         with pytest.raises(ModelError):
             load_checkpoint(path, bigger)
+
+    def test_rejected_checkpoint_changes_nothing(self, tmp_path):
+        model = make_model(seed=11)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, model, "h")
+        other = make_model(seed=12, head_out=[1, 2])  # last array differs
+        before = {n: v.copy() for n, v in other.state_dict().items()}
+        with pytest.raises(ModelError, match="shape"):
+            load_checkpoint(path, other)
+        for name, value in other.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])
+
+    @pytest.mark.parametrize("name, k, hidden", [
+        ("checkpoint_k4_hidden.json", 4, (5,)),
+        ("checkpoint_k1.json", 1, ()),
+    ])
+    def test_committed_v1_checkpoint(self, tmp_path, name, k, hidden):
+        # written by the per-module implementation from seed 0: the bank
+        # draws the same weights and saves them under the same names
+        fresh = make_model(k=k, total_dim=8, hidden=hidden, seed=0)
+        path = tmp_path / "fresh.json"
+        save_checkpoint(path, fresh, "v1")
+        assert path.read_bytes() == (DATA / name).read_bytes()
+        clone = make_model(k=k, total_dim=8, hidden=hidden, seed=1)
+        assert load_checkpoint(DATA / name, clone) == "v1"
+        for p, q in zip(fresh.parameters(), clone.parameters()):
+            np.testing.assert_array_equal(p.value, q.value)
 
 
 def test_mlp_rejects_unknown_activation():

@@ -73,42 +73,41 @@ class TestPearson:
 
 class TestDecorrelation:
     def test_single_module_is_zero(self):
-        assert decorrelation_loss([T.Tensor(np.random.rand(5, 2))], 3.0).item() == 0.0
+        assert decorrelation_loss(T.Tensor(np.random.rand(5, 2)), 1, 3.0).item() == 0.0
 
     def test_identical_single_column_modules(self):
-        z = T.Tensor(np.array([[0.3], [1.2], [-0.5], [0.9]]))
+        z = np.array([[0.3], [1.2], [-0.5], [0.9]])
         lam = 2.5
-        assert decorrelation_loss([z, z], lam).item() == pytest.approx(lam, rel=1e-6)
+        loss = decorrelation_loss(T.Tensor(np.hstack([z, z])), 2, lam)
+        assert loss.item() == pytest.approx(lam, rel=1e-6)
 
     def test_independent_gaussians_concentrate(self):
         rng = np.random.default_rng(42)
         p = q = 2
-        zs = [T.Tensor(rng.normal(size=(10000, p))),
-              T.Tensor(rng.normal(size=(10000, q)))]
-        assert decorrelation_loss(zs, 1.0).item() < p * q * 0.01
+        z = T.Tensor(rng.normal(size=(10000, p + q)))
+        assert decorrelation_loss(z, 2, 1.0).item() < p * q * 0.01
 
     def test_symmetric_under_module_swap(self):
-        rng = np.random.default_rng(1)
-        zs = [T.Tensor(rng.normal(size=(8, 2))) for _ in range(3)]
-        a = decorrelation_loss(zs, 1.0).item()
-        b = decorrelation_loss([zs[2], zs[0], zs[1]], 1.0).item()
+        z = np.random.default_rng(1).normal(size=(8, 6))
+        a = decorrelation_loss(T.Tensor(z), 3, 1.0).item()
+        swapped = np.hstack([z[:, 4:6], z[:, 0:2], z[:, 2:4]])
+        b = decorrelation_loss(T.Tensor(swapped), 3, 1.0).item()
         assert a == pytest.approx(b, rel=1e-12)
-
 
     @pytest.mark.parametrize("k", [2, 3, 8])
     def test_matches_pairwise_reference(self, k):
         rng = np.random.default_rng(k)
-        values = [rng.normal(size=(9, 2)) + 0.3 * rng.normal(size=(9, 1))
-                  for _ in range(k)]
+        data = np.hstack([rng.normal(size=(9, 2)) + 0.3 * rng.normal(size=(9, 1))
+                          for _ in range(k)])
 
         def loss_and_grad(loss_fn):
             tape = T.Tape()
-            zs = [tape.leaf(v, trainable=True) for v in values]
-            loss = loss_fn(zs)
-            gm = T.grad(loss, zs)
-            return loss.item(), np.concatenate([gm.get(z).data for z in zs])
+            z = tape.leaf(data, trainable=True)
+            loss = loss_fn(z)
+            return loss.item(), T.grad(loss, [z]).get(z).data
 
-        def pairwise(zs):
+        def pairwise(z):
+            zs = [T.narrow(z, 1, 2 * i, 2) for i in range(k)]
             total = None
             for i in range(len(zs)):
                 for j in range(i + 1, len(zs)):
@@ -116,7 +115,7 @@ class TestDecorrelation:
                     total = term if total is None else T.add(total, term)
             return T.scale(total, 1.7)
 
-        value, g = loss_and_grad(lambda zs: decorrelation_loss(zs, 1.7))
+        value, g = loss_and_grad(lambda z: decorrelation_loss(z, k, 1.7))
         ref_value, ref_g = loss_and_grad(pairwise)
         assert value == pytest.approx(ref_value, rel=1e-12, abs=0)
         assert np.linalg.norm(g - ref_g) <= 1e-12 * np.linalg.norm(ref_g)
@@ -124,10 +123,8 @@ class TestDecorrelation:
     @pytest.mark.parametrize("order", [1, 2])
     def test_matches_finite_differences(self, order):
         rng = np.random.default_rng(order)
-        params = [rng.normal(size=(5, 2)), rng.normal(size=(5, 1)),
-                  rng.normal(size=(5, 2))]
         err = T.finite_diff_check(
-            lambda a, b, c: decorrelation_loss([a, b, c], 0.8), params,
+            lambda z: decorrelation_loss(z, 3, 0.8), [rng.normal(size=(5, 6))],
             step=1e-5, order=order)
         assert err < 1e-8
 
@@ -201,12 +198,11 @@ class TestEnvTaskRisk:
                          encoder_hidden=(), encoder_activation="linear",
                          head_hidden=(), head_out_dims=[1],
                          loss_kinds=["mse"], rng=rng)
-        enc_w, enc_b = model.bank.encoders[0].layers[0]
-        enc_w.value = np.eye(2)
-        enc_b.value[:] = 0.0
-        hw, hb = model.heads[0].layers[0]
-        hw.value = np.array([[1.0], [-1.0]])
-        hb.value[:] = 0.0
+        model.load_state({**model.state_dict(),
+                          "module0.layer0.weight": np.eye(2),
+                          "module0.layer0.bias": np.zeros((1, 2)),
+                          "head0.layer0.weight": np.array([[1.0], [-1.0]]),
+                          "head0.layer0.bias": np.zeros((1, 1))})
         model.routing.theta.value[:] = 60.0  # A ~ 1
         x = np.array([[1.0, 2.0], [3.0, 1.0]])
         y = np.array([0.0, 1.0])
@@ -269,6 +265,33 @@ class TestGirmPenalties:
         assert girm_norm_penalty(gs2).item() == pytest.approx(n1, rel=1e-12)
         assert girm_var_penalty(gs2).item() == pytest.approx(v1, rel=1e-12)
 
+    def test_one_inner_call_equals_per_pair_gradients(self):
+        model = make_model(seed=13)
+        batches = make_batches(seed=13)
+        gs = environment_gradients(model, TapeBinding(T.Tape()), batches)
+        for batch in batches:
+            binding = TapeBinding(T.Tape())
+            z = model.encode(binding, batch.inputs)
+            for t in range(model.tasks):
+                row = model.routing_row(binding, t)
+                risk = env_task_risk(model, binding, batch, t, z=z, a_row=row,
+                                     detach_heads=True)
+                np.testing.assert_array_equal(
+                    gs.grads[t][batch.env_id].data,
+                    T.grad(risk, [row]).get(row).data)
+
+    def test_reused_encoding_gives_same_penalty(self):
+        model = make_model(seed=14)
+        batches = make_batches(seed=14)
+        for variant in ("var", "irm-baseline"):
+            fresh = girm_penalty(model, TapeBinding(T.Tape()), batches,
+                                 variant).item()
+            binding = TapeBinding(T.Tape())
+            z = model.encode(binding, batches[0].inputs)
+            reused = girm_penalty(model, binding, batches, variant,
+                                  encoded=[(batches[0], z)]).item()
+            assert reused == fresh
+
     def test_head_detachment_gives_exact_zero_head_gradients(self):
         model = make_model(seed=6)
         batches = make_batches(seed=6)
@@ -296,7 +319,7 @@ class TestGirmPenalties:
         # differences of the penalty value under encoder-weight shifts
         model = make_model(tasks=1, k=2, input_dim=3, total_dim=4, seed=7)
         batches = make_batches(input_dim=3, tasks=1, n=6, seed=7)
-        target = model.bank.encoders[0].layers[0][0]
+        target = model.bank.net.layers[0][0]  # every module's first layer
 
         def penalty_value() -> float:
             tape = T.Tape()
@@ -334,9 +357,9 @@ class TestGirmPenalties:
             batch = make_batches(seed=1)[0]
             tape = T.Tape()
             binding = TapeBinding(tape)
-            zs = model.encode(binding, batch.inputs)
+            z = model.encode(binding, batch.inputs)
             row = model.routing_row(binding, 0)
-            risk = env_task_risk(model, binding, batch, 0, zs=zs, a_row=row,
+            risk = env_task_risk(model, binding, batch, 0, z=z, a_row=row,
                                  detach_heads=True)
             n_before = len(tape.nodes)
             T.grad(risk, [row], create_graph=True)
@@ -358,9 +381,9 @@ class TestGirmPenalties:
         for batch in batches:
             tape3 = T.Tape()
             b3 = TapeBinding(tape3)
-            zs = model.encode(b3, batch.inputs)
+            z = model.encode(b3, batch.inputs)
             for t in range(model.tasks):
-                risk = env_task_risk(model, b3, batch, t, zs=zs)
+                risk = env_task_risk(model, b3, batch, t, z=z)
                 leaves = b3.leaves_for(model.heads[t].parameters())
                 gm = T.grad(risk, leaves)
                 head_part += sum(float((gm.get(l).data ** 2).sum())
@@ -377,9 +400,10 @@ class TestGirmPenalties:
         for env_id in ("train", "valid"):
             x = rng.normal(size=(12, 4))
             binding = TapeBinding(T.Tape())
-            zs = model.encode(binding, x)
-            fused = sum(model.routing.matrix()[0, i] * z.data
-                        for i, z in enumerate(zs))
+            z = model.encode(binding, x).data
+            m = model.bank.module_dim
+            fused = sum(model.routing.matrix()[0, i] * z[:, i * m:(i + 1) * m]
+                        for i in range(model.k))
             pred = model.predict(binding, 0, x=x).data.ravel()
             basis = np.column_stack([fused, np.ones(12)])
             raw = rng.normal(size=12)

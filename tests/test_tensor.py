@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +60,18 @@ class TestFirstOrderGradients:
         tape.reset()
         with pytest.raises(T.StaleTapeError):
             T.grad(out, [x])
+
+    def test_reset_frees_nodes_without_the_cycle_collector(self):
+        # tanh's rule holds its own output: Tensor -> Node -> rule -> Tensor
+        gc.disable()
+        try:
+            tape, (x,) = scalar_tape(np.ones((3, 2)))
+            ref = weakref.ref(T.tanh(x).data)
+            assert ref() is not None
+            tape.reset()
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_unreachable_parameter_gets_zeros(self):
         tape = T.Tape()
@@ -238,7 +253,7 @@ def _op_cases(rng):
     m = rng.normal(size=(4, 2))
     pos = np.abs(rng.normal(size=(3, 3))) + 0.5
     away = rng.normal(size=(3, 4))
-    away[np.abs(away) < 0.1] = 0.5  # relu/abs kink margin >> fd step
+    away[np.abs(away) < 0.1] = 0.5  # relu kink margin >> fd step
     labels = rng.integers(0, 2, size=3)
     return [
         ("add", lambda x, y: T.sum_(T.add(x, y)), [a, b], 1e-6),
@@ -252,13 +267,10 @@ def _op_cases(rng):
         ("mean-axis", lambda x: T.sum_(T.square(T.mean(x, axis=0))), [a], 1e-6),
         ("sum-keepdims", lambda x: T.sum_(T.square(T.sum_(x, axis=1, keepdims=True))), [a], 1e-6),
         ("square", lambda x: T.sum_(T.square(x)), [a], 1e-6),
-        ("absolute", lambda x: T.sum_(T.absolute(x)), [away], 1e-4),
-        ("l1", T.l1_norm, [away], 1e-4),
         ("l2sq", T.l2_norm_sq, [a], 1e-6),
         ("xent", lambda x: T.mean(T.softmax_cross_entropy(x, labels)), [rng.normal(size=(3, 2))], 1e-6),
         ("log", lambda x: T.sum_(T.log(x)), [pos], 1e-6),
         ("exp", lambda x: T.sum_(T.exp(x)), [a * 0.3], 1e-6),
-        ("concat", lambda x, y: T.sum_(T.square(T.concatenate([x, y], axis=1))), [a, b], 1e-6),
         ("slice", lambda x: T.sum_(T.square(T.narrow(x, 1, 1, 2))), [a], 1e-6),
         ("scale", lambda x: T.sum_(T.scale(x, -2.5)), [a], 1e-6),
         ("pow", lambda x: T.sum_(T.pow_const(x, -0.5)), [pos], 1e-6),
