@@ -99,25 +99,27 @@ def task_module_gradients(model: MtlModel, env_batches) -> TaskModuleGradients:
     Entry (t, i) is the gradient of environment risk for task t w.r.t. the
     routing weight of module i; the difference table flags modules that
     help on the training slice but not off it.  Signs are reported raw.
+    One gradient of all risks at once: each row feeds only its own risk.
     """
     if len(env_batches) < 2:
         raise AnalysisError("need at least two environments")
-    per_env = {}
+    binding = TapeBinding(T.Tape())
+    rows, total = {}, None
     for batch in env_batches:
-        tape = T.Tape()
-        binding = TapeBinding(tape)
-        z = model.encode(binding, batch.inputs)
-        table = np.zeros((model.tasks, model.k))
-        for t in range(model.tasks):
-            row = model.routing_row(binding, t)
+        with binding.tape.stop_recording():  # z depends on no routing row
+            z = model.encode(binding, batch.inputs)
+        rows[batch.env_id] = [model.routing_row(binding, t)
+                              for t in range(model.tasks)]
+        for t, row in enumerate(rows[batch.env_id]):
             risk = env_task_risk(model, binding, batch, t, z=z, a_row=row)
-            table[t] = T.grad(risk, [row]).get(row).data.ravel()
-        per_env[batch.env_id] = table
-    ids = [b.env_id for b in env_batches]
+            total = risk if total is None else T.add(total, risk)
+    gm = T.grad(total, [row for env in rows.values() for row in env])
+    per_env = {e: np.vstack([gm.get(row).data for row in env])
+               for e, env in rows.items()}
     if "train" in per_env and "valid" in per_env:
         pair = ("train", "valid")
     else:
-        pair = (ids[0], ids[-1])
+        pair = (env_batches[0].env_id, env_batches[-1].env_id)
     diff = per_env[pair[1]] - per_env[pair[0]]
     return TaskModuleGradients(per_env, diff, pair)
 

@@ -186,8 +186,7 @@ def cmd_analyze(args) -> int:
     cfg = _train_config(_load_json(args.config), args)
     out = _out_dir(args)
     train_b, valid_b, test_b, tasks, kinds, head_out = harness._dataset_bundle(cfg)
-    from .data import split_environments
-    envs = split_environments(train_b, valid_b)
+    envs = harness.split_environments(train_b, valid_b)
     model = harness._build_model(cfg, train_b.input_dim, tasks, kinds,
                                  head_out, seed_key=100)
     if args.checkpoint:
@@ -200,12 +199,10 @@ def cmd_analyze(args) -> int:
                 f"checkpoint {args.checkpoint} was trained with config hash "
                 f"'{stored}', but this config hashes to '{expected}'"
             )
-    saliency = np.array([analysis.factor_gradient(model, t, valid_b)
-                         for t in range(tasks)])
+    saliency, rho = harness.spurious_scores(
+        model, harness.rho_spur_batch(cfg, envs, test_b))
     analysis.write_matrix_csv(out / "saliency.csv", saliency,
                               row_labels=[f"task{t}" for t in range(tasks)])
-    rho = {t: analysis.spurious_score(saliency[t], valid_b.causal_masks[t])
-           for t in range(tasks)}
     grads = analysis.task_module_gradients(model, envs)
     for env_id, table in grads.per_env.items():
         analysis.write_matrix_csv(out / f"task_module_grad_{env_id}.csv", table)
@@ -220,11 +217,11 @@ def cmd_analyze(args) -> int:
                              boundaries=heat.block_boundaries)
         analysis.svg_heatmap(out / "saliency.svg", saliency)
     (out / "analyze_summary.json").write_text(json.dumps({
-        "rho_spur": {str(t): rho[t] for t in rho},
+        "rho_spur": {str(t): r for t, r in enumerate(rho)},
         "max_cross_module_corr": heat.max_cross_block(),
         "diff_envs": list(grads.diff_envs),
     }, indent=1, sort_keys=True))
-    print(f"rho_spur={ {t: round(v, 4) for t, v in rho.items()} } -> {out}")
+    print(f"rho_spur={ {t: round(v, 4) for t, v in enumerate(rho)} } -> {out}")
     return 0
 
 

@@ -1,10 +1,10 @@
 """Training loop, optimizers, experiment drivers, and configuration.
 
-One training step follows the two-phase schedule: accumulate task risks,
-decorrelation, and graph regularization; backprop that through everything;
-then rebuild the environment risks with detached heads, backprop the
-invariance penalty, and add its gradients before the optimizer update.
-Heads therefore receive exactly zero gradient from the penalty.
+One training step builds one objective, task risks plus decorrelation,
+graph regularization and the weighted invariance penalty, and takes every
+parameter's gradient from one backward pass of it.  The penalty rebuilds
+the environment risks with detached heads, which are constants in its
+graph, so heads receive exactly zero gradient from the penalty.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .regularizers import (PenaltyWeights, decorrelation_loss, env_task_risk,
                            girm_penalty, graph_reg_loss)
 
 MODES = ("stl", "mtl-vanilla", "mtcrl")
+RHO_SPUR_SPLITS = ("train", "valid", "test")
 PLATEAU_TOL = 1e-6
 
 
@@ -61,6 +62,9 @@ class TrainConfig:
             raise HarnessError(f"unknown optimizer '{self.optimizer}'")
         if self.epochs < 0 or self.patience < 0:
             raise HarnessError("epochs and patience must be nonnegative")
+        if self.rho_spur_split not in RHO_SPUR_SPLITS:
+            raise HarnessError(f"rho_spur_split must be one of {RHO_SPUR_SPLITS}"
+                               f", got '{self.rho_spur_split}'")
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +178,8 @@ def make_optimizer(cfg: TrainConfig):
 def step_gradients(model: MtlModel, train_batch, env_batches,
                    weights: PenaltyWeights, tape: T.Tape | None = None,
                    detach_heads: bool = True):
-    """Per-parameter gradients for one step, plus loss-part metrics.
+    """Per-parameter gradients of ``loss + lambda_girm * penalty`` from one
+    backward pass, plus loss-part metrics.
 
     ``detach_heads=False`` exists only so tests can demonstrate that the
     detachment contract matters; training always detaches.
@@ -205,29 +210,25 @@ def step_gradients(model: MtlModel, train_batch, env_batches,
         loss = T.add(loss, graph)
     if not np.isfinite(loss.data):
         raise HarnessError("non-finite training loss")
+    parts["loss"] = float(loss.data)
 
-    params = model.parameters()
-    leaves = binding.leaves_for(params)
-    main = T.grad(loss, leaves)
-    grads = {p.name: main.get(leaf).data.copy()
-             for p, leaf in zip(params, leaves)}
-
+    objective = loss
     if weights.girm_variant != "none" and weights.lambda_girm > 0:
         penalty = girm_penalty(model, binding, env_batches,
                                weights.girm_variant,
                                detach_heads=detach_heads,
                                encoded=[(train_batch, z)])
         parts["girm"] = float(penalty.data)
-        pen = T.grad(penalty, leaves)
-        for p, leaf in zip(params, leaves):
-            grads[p.name] += weights.lambda_girm * pen.get(leaf).data
-    parts["loss"] = float(loss.data)
-    return grads, parts
+        objective = T.add(loss, T.scale(penalty, weights.lambda_girm))
+
+    params = model.parameters()
+    gm = T.grad(objective, binding.leaves_for(params))
+    return {p.name: gm.get(binding.leaf(p)).data for p in params}, parts
 
 
 def train_step(model: MtlModel, train_batch, env_batches,
                weights: PenaltyWeights, opt, tape: T.Tape | None = None):
-    """One optimizer update following the two-phase gradient schedule."""
+    """One optimizer update from one backward pass of the step objective."""
     grads, parts = step_gradients(model, train_batch, env_batches, weights,
                                   tape=tape)
     opt.step([(p, grads[p.name]) for p in model.parameters()])
@@ -327,6 +328,19 @@ def _build_model(cfg: TrainConfig, input_dim, tasks, kinds, head_out,
     )
 
 
+def rho_spur_batch(cfg: TrainConfig, envs, test_b):
+    """The split that saliency and rho_spur are scored on."""
+    return (*envs, test_b)[RHO_SPUR_SPLITS.index(cfg.rho_spur_split)]
+
+
+def spurious_scores(model: MtlModel, batch):
+    """Input saliency over ``batch`` (tasks x inputs) and rho_spur per task."""
+    saliency = np.array([factor_gradient(model, t, batch)
+                         for t in range(model.tasks)])
+    return saliency, [spurious_score(sal, batch.causal_masks[t])
+                      for t, sal in enumerate(saliency)]
+
+
 def effective_weights(cfg: TrainConfig) -> PenaltyWeights:
     """Regularizers apply only in mtcrl mode; other modes run bare risk."""
     if cfg.mode == "mtcrl":
@@ -385,8 +399,7 @@ def train(cfg: TrainConfig, return_model: bool = False):
     train_b, valid_b, test_b, tasks, kinds, head_out = _dataset_bundle(cfg)
     envs = split_environments(train_b, valid_b)
     weights = effective_weights(cfg)
-    rho_batch = {"train": envs[0], "valid": envs[1], "test": test_b}[
-        cfg.rho_spur_split]
+    rho_batch = rho_spur_batch(cfg, envs, test_b)
 
     # per fit: (model, environment views, test view, rho view, stream key)
     if cfg.mode == "stl":
@@ -419,10 +432,9 @@ def train(cfg: TrainConfig, return_model: bool = False):
         for t in range(model.tasks):
             cols["train_risk_curve"].append([row[t] for row in tr])
             cols["valid_risk_curve"].append([row[t] for row in va])
-            sal = factor_gradient(model, t, rho_view)
-            cols["saliency"].append(sal.tolist())
-            cols["rho_spur"].append(
-                spurious_score(sal, rho_view.causal_masks[t]))
+        saliency, rho = spurious_scores(model, rho_view)
+        cols["saliency"] += saliency.tolist()
+        cols["rho_spur"] += rho
     report = RunReport(
         config=config_to_dict(cfg), config_hash=config_hash(cfg),
         seed=cfg.seed, mode=cfg.mode, **cols,

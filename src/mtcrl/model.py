@@ -52,7 +52,7 @@ class TapeBinding:
     def leaf(self, p: Parameter) -> T.Tensor:
         key = id(p)
         if key not in self._leaves:
-            self._leaves[key] = self.tape.leaf(p.value, trainable=True)
+            self._leaves[key] = self.tape.leaf(p.value)
         return self._leaves[key]
 
     def const(self, p: Parameter) -> T.Tensor:

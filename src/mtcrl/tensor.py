@@ -18,6 +18,8 @@ Conventions:
 tensors, and tells each backward rule which parents need a gradient; a
 rule may return ``None`` for the others, so a constant operand (a data
 matrix, a detached head) costs no adjoint product and records no nodes.
+It frees each adjoint once its node's rule has used it, so a backward
+pass holds only the adjoints still waiting to be used.
 """
 
 from __future__ import annotations
@@ -66,16 +68,15 @@ class Node:
     execution order.
     """
 
-    __slots__ = ("nid", "op", "parents", "vjp", "tape", "generation", "trainable")
+    __slots__ = ("nid", "op", "parents", "vjp", "tape", "generation")
 
-    def __init__(self, nid, op, parents, vjp, tape, trainable=False):
+    def __init__(self, nid, op, parents, vjp, tape):
         self.nid = nid
         self.op = op
         self.parents = parents
         self.vjp = vjp
         self.tape = tape
         self.generation = tape.generation
-        self.trainable = trainable
 
 
 class Tape:
@@ -83,7 +84,6 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Node] = []
-        self.parameters: set[int] = set()
         self.generation = 0
         self.recording = True
 
@@ -95,7 +95,6 @@ class Tape:
         for node in self.nodes:
             node.vjp = None
         self.nodes.clear()
-        self.parameters.clear()
         self.generation += 1
 
     @contextlib.contextmanager
@@ -107,14 +106,11 @@ class Tape:
         finally:
             self.recording = prev
 
-    def leaf(self, value, trainable: bool = False) -> "Tensor":
+    def leaf(self, value) -> "Tensor":
         """Put an array on the tape as a leaf (no parents)."""
-        data = np.asarray(value, dtype=np.float64)
-        node = Node(len(self.nodes), "leaf", (), None, self, trainable=trainable)
+        node = Node(len(self.nodes), "leaf", (), None, self)
         self.nodes.append(node)
-        if trainable:
-            self.parameters.add(node.nid)
-        return Tensor(data, node)
+        return Tensor(np.asarray(value, dtype=np.float64), node)
 
 
 class Tensor:
@@ -546,22 +542,13 @@ class GradMap:
     matching shape.
     """
 
-    def __init__(self):
-        self.by_id: dict[int, Tensor] = {}
-
-    def put(self, tensor: Tensor, grad: Tensor):
-        self.by_id[tensor.node.nid] = grad
+    def __init__(self, by_id: dict[int, Tensor]):
+        self.by_id = by_id
 
     def get(self, tensor: Tensor) -> Tensor:
         if tensor.node is None:
             raise NotOnTapeError("tensor is a constant; it has no gradient entry")
         return self.by_id[tensor.node.nid]
-
-    def __contains__(self, tensor: Tensor):
-        return tensor.node is not None and tensor.node.nid in self.by_id
-
-    def __len__(self):
-        return len(self.by_id)
 
 
 def _active_nodes(tape: Tape, output_nid: int, wrt_ids: set) -> tuple:
@@ -585,7 +572,8 @@ def grad(output: Tensor, wrt, create_graph: bool = False,
     Only active nodes are visited: those that are ``wrt`` tensors or depend
     on one.  Each backward rule is told which of its parents are active
     (and not constants) and may return ``None`` for the others, so no
-    adjoint is built that no requested gradient needs.
+    adjoint is built that no requested gradient needs.  A node's adjoint
+    is dropped once its rule has run, unless the node is requested.
 
     With ``create_graph=True`` the returned gradients are themselves on the
     tape, so a second call differentiates through them.  Tensors listed in
@@ -608,14 +596,17 @@ def grad(output: Tensor, wrt, create_graph: bool = False,
         if t.node.tape is not tape:
             raise NotOnTapeError("requested tensor lives on a different tape")
     detached_ids = {t.node.nid for t in detached if t.node is not None}
-    order, active = _active_nodes(tape, output.node.nid,
-                                  {t.node.nid for t in wrt})
+    wrt_ids = {t.node.nid for t in wrt}
+    order, active = _active_nodes(tape, output.node.nid, wrt_ids)
 
     ctx = contextlib.nullcontext() if create_graph else tape.stop_recording()
     grads: dict[int, Tensor] = {output.node.nid: Tensor(np.ones(output.shape))}
     with ctx:
         for node in reversed(order):
-            g = grads.get(node.nid)
+            # every later node is done, so this adjoint is complete; free it
+            # unless it is a requested result
+            g = (grads.get(node.nid) if node.nid in wrt_ids
+                 else grads.pop(node.nid, None))
             if g is None or node.vjp is None:
                 continue
             needs = tuple(p.node is not None and p.node.nid in active
@@ -632,13 +623,10 @@ def grad(output: Tensor, wrt, create_graph: bool = False,
                 else:
                     grads[pid] = pg
 
-    out = GradMap()
-    for t in wrt:
-        g = grads.get(t.node.nid)
-        if g is None or t.node.nid in detached_ids:
-            g = Tensor(np.zeros(t.shape))
-        out.put(t, g)
-    return out
+    return GradMap({
+        t.node.nid: grads[t.node.nid] if t.node.nid in grads
+        and t.node.nid not in detached_ids else Tensor(np.zeros(t.shape))
+        for t in wrt})
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +657,7 @@ def finite_diff_check(f, params, step: float = 1e-5, order: int = 1) -> float:
         """Fresh leaves and the checked objective: ``f``, or at ``order=2``
         its gradient-norm penalty."""
         tape = Tape()
-        leaves = [tape.leaf(v, trainable=True) for v in values]
+        leaves = [tape.leaf(v) for v in values]
         out = f(*leaves)
         if not np.all(np.isfinite(out.data)):
             raise NonFiniteError("objective evaluated to a non-finite value")

@@ -70,6 +70,15 @@ class TestUsageErrors:
         assert "bad config" in capsys.readouterr().err
         assert not (out / "diagnostic.json").exists()
 
+    def test_bad_rho_spur_split_exits_two_before_training(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(quick_config_dict(rho_spur_split="tset")))
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+        assert "rho_spur_split" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_ablation_variant(self, tmp_path, capsys):
         path = tmp_path / "a.json"
         path.write_text(json.dumps({"base": quick_config_dict(mode="mtcrl"),
@@ -210,6 +219,20 @@ class TestAnalyzeCommand:
                      "module_corr.csv", "similarity.csv", "module_corr.svg",
                      "analyze_summary.json"):
             assert (out / name).exists(), name
+
+    def test_rho_spur_on_the_configured_split(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(quick_config_dict(rho_spur_split="test")))
+        run_out, out = tmp_path / "run", tmp_path / "analysis"
+        assert main(["train", "--config", str(path),
+                     "--out", str(run_out)]) == 0
+        assert main(["analyze", "--config", str(path),
+                     "--checkpoint", str(run_out / "checkpoint.json"),
+                     "--out", str(out)]) == 0
+        report = json.loads((run_out / "report.json").read_text())
+        summary = json.loads((out / "analyze_summary.json").read_text())
+        assert [summary["rho_spur"][str(t)] for t in range(2)] \
+            == report["rho_spur"]
 
     def test_missing_checkpoint(self, config_file, tmp_path, capsys):
         assert main(["analyze", "--config", config_file,

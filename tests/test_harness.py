@@ -10,8 +10,9 @@ from mtcrl.harness import (Adam, HarnessError, Sgd, TrainConfig, config_from_dic
                            config_hash, config_to_dict, evaluate, run_ablation,
                            run_table2, run_task_sweep, spearman, step_gradients,
                            train, train_step)
-from mtcrl.model import MtlModel
-from mtcrl.regularizers import PenaltyWeights
+from mtcrl.model import MtlModel, TapeBinding
+from mtcrl.regularizers import (PenaltyWeights, decorrelation_loss,
+                                env_task_risk, girm_penalty, graph_reg_loss)
 
 QUICK_SPEC = SemSpec(n_train=120, n_valid=120, n_test=120, mu_scale=1.5,
                      m_c_train=0.8, m_c_valid=0.5)
@@ -126,6 +127,40 @@ class TestTrainStep:
             for p in model.head_parameters()
         )
 
+    @pytest.mark.parametrize("k, variant", [(2, "var"), (8, "var"),
+                                            (2, "norm"), (2, "irm-baseline")])
+    def test_one_backward_matches_two_pass_reference(self, k, variant):
+        # reference: grad(loss) + lambda * grad(penalty), two passes over
+        # one tape; step_gradients takes one pass over their weighted sum
+        model = MtlModel(tasks=2, k=k, input_dim=4, total_dim=16,
+                         encoder_hidden=(5,), encoder_activation="tanh",
+                         head_hidden=(), head_out_dims=[1, 1],
+                         loss_kinds=["mse", "mse"],
+                         rng=np.random.default_rng(7))
+        train_b, valid_b = tiny_batches(seed=7)
+        weights = PenaltyWeights(1.0, 0.1, 0.5, 3.0, variant)
+        binding = TapeBinding(T.Tape())
+        z = model.encode(binding, train_b.inputs)
+        a = model.routing.weights(binding)
+        risk0, risk1 = (env_task_risk(model, binding, train_b, t, z=z,
+                                      a_row=T.narrow(a, 0, t, 1))
+                        for t in range(2))
+        loss = T.add(T.add(T.add(risk0, risk1),
+                           decorrelation_loss(z, k, weights.lambda_decor)),
+                     graph_reg_loss(a, weights.lambda_sps, weights.lambda_bal))
+        penalty = girm_penalty(model, binding, [train_b, valid_b], variant,
+                               encoded=[(train_b, z)])
+        leaves = binding.leaves_for(model.parameters())
+        main, pen = T.grad(loss, leaves), T.grad(penalty, leaves)
+
+        grads, parts = step_gradients(model, train_b, [train_b, valid_b],
+                                      weights)
+        assert (parts["loss"], parts["girm"]) == (loss.item(), penalty.item())
+        for p, leaf in zip(model.parameters(), leaves):
+            ref = main.get(leaf).data + weights.lambda_girm * pen.get(leaf).data
+            err = np.linalg.norm(grads[p.name] - ref)
+            assert err <= 1e-12 * np.linalg.norm(ref), p.name
+
     def test_hand_built_sgd_step(self):
         # one-parameter linear model: loss = (w*x - y)^2, by-hand update
         rng = np.random.default_rng(0)
@@ -166,8 +201,8 @@ class TestTrainStep:
                            PenaltyWeights(0, 0, 0, 0, "none"))
 
     def test_tape_does_not_grow_with_module_count(self, monkeypatch):
-        # one encoding per batch and three gradient calls: main backward,
-        # all inner routing gradients, and the penalty's backward
+        # one encoding per batch and two gradient calls: all inner routing
+        # gradients, and one backward of loss + lambda * penalty
         def counted(fn, calls):
             def wrapper(*args, **kwargs):
                 calls.append(1)
@@ -192,7 +227,7 @@ class TestTrainStep:
             step_gradients(model, batches[0], batches,
                            PenaltyWeights(1.0, 0.1, 0.5, 2.0, "var"), tape=tape)
             nodes.append(len(tape.nodes))
-            assert len(grad_calls) == 3
+            assert len(grad_calls) == 2
             assert len(encodes) == 2
         assert nodes[0] == nodes[1]
 

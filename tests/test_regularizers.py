@@ -102,7 +102,7 @@ class TestDecorrelation:
 
         def loss_and_grad(loss_fn):
             tape = T.Tape()
-            z = tape.leaf(data, trainable=True)
+            z = tape.leaf(data)
             loss = loss_fn(z)
             return loss.item(), T.grad(loss, [z]).get(z).data
 
@@ -158,7 +158,7 @@ class TestGraphReg:
 
     def test_differentiable_through_a(self):
         tape = T.Tape()
-        theta = tape.leaf(np.zeros((2, 3)), trainable=True)
+        theta = tape.leaf(np.zeros((2, 3)))
         a = T.sigmoid(theta)
         loss = graph_reg_loss(a, 0.2, 5.0)
         g = T.grad(loss, [theta]).get(theta)

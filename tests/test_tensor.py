@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,7 +12,7 @@ from mtcrl import tensor as T
 
 def scalar_tape(*arrays):
     tape = T.Tape()
-    return tape, [tape.leaf(a, trainable=True) for a in arrays]
+    return tape, [tape.leaf(a) for a in arrays]
 
 
 class TestForwardValues:
@@ -75,15 +76,15 @@ class TestFirstOrderGradients:
 
     def test_unreachable_parameter_gets_zeros(self):
         tape = T.Tape()
-        x = tape.leaf(1.5, trainable=True)
-        unused = tape.leaf(np.ones((2, 2)), trainable=True)
+        x = tape.leaf(1.5)
+        unused = tape.leaf(np.ones((2, 2)))
         gm = T.grad(T.square(x), [x, unused])
         np.testing.assert_array_equal(gm.get(unused).data, np.zeros((2, 2)))
 
     def test_detached_parameter_gets_exact_zeros(self):
         tape = T.Tape()
-        x = tape.leaf(1.0, trainable=True)
-        y = tape.leaf(2.0, trainable=True)
+        x = tape.leaf(1.0)
+        y = tape.leaf(2.0)
         out = T.multiply(T.square(x), y)
         gm = T.grad(out, [x, y], detached=[y])
         assert gm.get(x).item() == pytest.approx(4.0)
@@ -100,7 +101,7 @@ class TestSecondOrder:
     def test_grad_of_inner_gradient_norm(self):
         # f(w) = w.w, inner grad 2w, penalty ||2w||^2 = 4 w.w, outer grad 8w
         tape = T.Tape()
-        w = tape.leaf([1.0, 2.0], trainable=True)
+        w = tape.leaf([1.0, 2.0])
         inner = T.grad(T.sum_(T.square(w)), [w], create_graph=True)
         penalty = T.l2_norm_sq(inner.get(w))
         outer = T.grad(penalty, [w])
@@ -115,7 +116,7 @@ class TestSecondOrder:
 
     def test_backward_appends_only(self):
         tape = T.Tape()
-        w = tape.leaf([0.3, -0.7], trainable=True)
+        w = tape.leaf([0.3, -0.7])
         out = T.sum_(T.square(T.tanh(w)))
         n_before = len(tape.nodes)
         T.grad(out, [w], create_graph=True)
@@ -127,7 +128,7 @@ class TestPrunedBackward:
     def test_constant_matmul_operand_gets_no_adjoint(self):
         rng = np.random.default_rng(3)
         tape = T.Tape()
-        w = tape.leaf(rng.normal(size=(4, 2)), trainable=True)
+        w = tape.leaf(rng.normal(size=(4, 2)))
         x = T.Tensor(rng.normal(size=(5, 4)))
         out = T.sum_(T.square(T.matmul(x, w)))
         n_before = len(tape.nodes)
@@ -141,7 +142,7 @@ class TestPrunedBackward:
 
     def test_sum_of_constant_product_records_nothing(self):
         tape = T.Tape()
-        w = tape.leaf(np.ones((3, 2)), trainable=True)
+        w = tape.leaf(np.ones((3, 2)))
         out = T.sum_(T.matmul(T.Tensor(np.arange(6.0).reshape(2, 3)), w))
         n_before = len(tape.nodes)
         gm = T.grad(out, [w], create_graph=True)
@@ -151,7 +152,7 @@ class TestPrunedBackward:
 
     def test_detached_non_leaf_still_passes_gradient(self):
         tape = T.Tape()
-        x = tape.leaf([0.4, -1.1], trainable=True)
+        x = tape.leaf([0.4, -1.1])
         h = T.tanh(x)
         out = T.sum_(T.square(h))
         gm = T.grad(out, [x, h], detached=[h])
@@ -162,7 +163,7 @@ class TestPrunedBackward:
 
     def test_non_leaf_wrt_gets_full_gradient(self):
         tape = T.Tape()
-        x = tape.leaf([0.4, -1.1], trainable=True)
+        x = tape.leaf([0.4, -1.1])
         h = T.tanh(x)
         out = T.add(T.sum_(T.square(h)), T.sum_(T.multiply(h, x)))
         gm = T.grad(out, [h])
@@ -171,9 +172,9 @@ class TestPrunedBackward:
 
     def test_tensor_created_after_output_gets_zeros(self):
         tape = T.Tape()
-        x = tape.leaf(2.0, trainable=True)
+        x = tape.leaf(2.0)
         out = T.square(x)
-        late = tape.leaf(np.ones(3), trainable=True)
+        late = tape.leaf(np.ones(3))
         gm = T.grad(out, [late, x])
         np.testing.assert_array_equal(gm.get(late).data, np.zeros(3))
         assert gm.get(x).item() == 4.0
@@ -189,6 +190,36 @@ class TestPrunedBackward:
 
         params = [rng.normal(size=(3, 2)) * 0.5, rng.normal(size=(1, 2))]
         assert T.finite_diff_check(f, params, step=1e-5, order=2) < 1e-8
+
+
+class TestAdjointFreeing:
+    def test_backward_holds_a_few_adjoints_not_one_per_node(self):
+        # each adjoint is dropped once its rule has run, so a pass over a
+        # chain of 40 ops peaks at a few arrays, not 41
+        tape = T.Tape()
+        x = tape.leaf(np.ones((200, 200)))
+        h = x
+        for _ in range(40):
+            h = T.scale(h, 1.01)
+        out = T.sum_(h)
+        tracemalloc.start()
+        try:
+            gm = T.grad(out, [x])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(gm.get(x).data, 1.01 ** 40, rtol=1e-14)
+        assert peak < 5 * x.data.nbytes
+
+    def test_requested_non_leaf_keeps_its_entry(self):
+        tape = T.Tape()
+        x = tape.leaf([0.4, -1.1])
+        h = T.tanh(x)
+        out = T.sum_(T.square(h))
+        gm = T.grad(out, [x, h])
+        np.testing.assert_allclose(gm.get(h).data, 2 * h.data, rtol=1e-14)
+        np.testing.assert_allclose(gm.get(x).data,
+                                   2 * h.data * (1 - h.data ** 2), rtol=1e-14)
 
 
 class TestItem:
@@ -317,7 +348,7 @@ def test_tape_determinism_bitwise():
     def run(seed):
         rng = np.random.default_rng(seed)
         tape = T.Tape()
-        w = tape.leaf(rng.normal(size=(5, 3)), trainable=True)
+        w = tape.leaf(rng.normal(size=(5, 3)))
         x = tape.leaf(rng.normal(size=(6, 5)))
         out = T.mean(T.square(T.tanh(T.matmul(x, w))))
         gm = T.grad(out, [w])
