@@ -57,11 +57,59 @@ def _parse(parser, payload):
         raise UsageError(f"bad config: {exc}") from exc
 
 
-def _train_config(payload, args) -> harness.TrainConfig:
+def _list_of(kind, key, non_empty=False):
+    """A ``_parse`` parser accepting only a JSON list of ``kind`` for ``key``."""
+    def check(value):
+        if not isinstance(value, list) or not all(
+                isinstance(v, kind) and not isinstance(v, bool) for v in value):
+            raise TypeError(f"'{key}' must be a list of {kind.__name__}, "
+                            f"got {value!r}")
+        if non_empty and not value:
+            raise ValueError(f"'{key}' must not be empty")
+        return value
+    return check
+
+
+def _train_config(payload, seed=None) -> harness.TrainConfig:
     cfg = _parse(harness.config_from_dict, payload)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    if seed is not None:
+        cfg = replace(cfg, seed=seed)
     return cfg
+
+
+def table2_inputs(payload, seed=None):
+    """``(base, datasets)`` of a table2 config: (name, spec) pairs, by
+    default the base dataset alone."""
+    base = _train_config(payload.get("base", {}), seed)
+    datasets = []
+    entries = _parse(_list_of(dict, "datasets"), payload.get("datasets", []))
+    for i, entry in enumerate(entries):
+        entry = dict(entry)
+        name = entry.pop("name", f"dataset{i}")
+        datasets.append((name, _parse(harness.dataset_from_dict, entry)))
+    return base, datasets or [("multisem", base.dataset)]
+
+
+def sweep_inputs(payload, seed=None):
+    """``(task_counts, base)`` of a sweep-tasks config."""
+    base = _train_config(payload.get("base", {}), seed)
+    tasks = _parse(_list_of(int, "tasks", non_empty=True),
+                   payload.get("tasks", [2, 4, 6, 8]))
+    return _parse(lambda t: harness.task_sweep_counts(t, base), tasks), base
+
+
+def ablation_inputs(payload):
+    """``(base, seeds, variants)`` of an ablate config; no variants means
+    all of them."""
+    base = _train_config(payload.get("base", {}))
+    seeds = _parse(_list_of(int, "seeds", non_empty=True),
+                   payload.get("seeds", [0, 1, 2, 3, 4]))
+    variants = _parse(_list_of(str, "variants"), payload.get("variants", []))
+    unknown = sorted(set(variants) - set(harness.ABLATION_VARIANTS))
+    if unknown:
+        raise UsageError(f"bad config: unknown ablation variants {unknown}; "
+                         f"known: {sorted(harness.ABLATION_VARIANTS)}")
+    return base, seeds, variants
 
 
 def _write_rows_csv(path, rows, columns):
@@ -90,7 +138,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _train_config(_load_json(args.config), args)
+    cfg = _train_config(_load_json(args.config), args.seed)
     out = _out_dir(args)
     report, models = harness.train(cfg, return_model=True)
     (out / "report.json").write_text(report.json())
@@ -110,15 +158,7 @@ TABLE2_COLUMNS = ("method", "dataset", "acc_train", "acc_val", "rho_spur")
 
 
 def cmd_table2(args) -> int:
-    payload = _load_json(args.config)
-    base = _train_config(payload.get("base", {}), args)
-    datasets = []
-    for i, entry in enumerate(payload.get("datasets", [])):
-        entry = dict(entry)
-        name = entry.pop("name", f"dataset{i}")
-        datasets.append((name, _parse(harness.dataset_from_dict, entry)))
-    if not datasets:
-        datasets = [("multisem", base.dataset)]
+    base, datasets = table2_inputs(_load_json(args.config), args.seed)
     out = _out_dir(args)
     result = harness.run_table2(base, datasets)
     _write_rows_csv(out / "table2.csv", result["rows"], TABLE2_COLUMNS)
@@ -126,15 +166,16 @@ def cmd_table2(args) -> int:
         tag = f"{row['method']}_{row['dataset']}"
         analysis.write_matrix_csv(out / f"saliency_{tag}.csv",
                                   np.array(rep["saliency"]))
+    for method in ("stl", "mtl-vanilla"):
+        rows = [r for r in result["rows"] if r["method"] == method]
+        print(f"{method:12s} acc_val={np.mean([r['acc_val'] for r in rows]):.4f}"
+              f" rho_spur={np.mean([r['rho_spur'] for r in rows]):.4f}")
     print(f"wrote table2.csv with {len(result['rows'])} rows to {out}")
     return 0
 
 
 def cmd_sweep_tasks(args) -> int:
-    payload = _load_json(args.config)
-    base = _train_config(payload.get("base", {}), args)
-    task_counts = _parse(lambda tasks: harness.task_sweep_counts(tasks, base),
-                         payload.get("tasks", [2, 4, 6, 8]))
+    task_counts, base = sweep_inputs(_load_json(args.config), args.seed)
     out = _out_dir(args)
     result = harness.run_task_sweep(task_counts, base)
     _write_rows_csv(out / "task_sweep.csv", result["rows"],
@@ -148,25 +189,20 @@ def cmd_sweep_tasks(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    payload = _load_json(args.config)
-    base = _parse(harness.config_from_dict, payload.get("base", {}))
-    seeds = payload.get("seeds", [0, 1, 2, 3, 4])
-    variants = payload.get("variants")
-    unknown = sorted(set(variants or ()) - set(harness.ABLATION_VARIANTS))
-    if unknown:
-        raise UsageError(f"bad config: unknown ablation variants {unknown}; "
-                         f"known: {sorted(harness.ABLATION_VARIANTS)}")
+    base, seeds, variants = ablation_inputs(_load_json(args.config))
     out = _out_dir(args)
     result = harness.run_ablation(base, seeds=seeds, variants=variants)
     rows = [{**r, "per_seed": json.dumps(r["per_seed"])}
             for r in result["rows"]]
     _write_rows_csv(out / "ablation.csv", rows,
-                    ("variant", "acc_val_mean", "acc_val_std", "per_seed"))
+                    ("variant", "acc_val_mean", "acc_val_std", "rho_spur_mean",
+                     "per_seed"))
     (out / "ablation_orderings.json").write_text(
         json.dumps(result["orderings"], indent=1, sort_keys=True))
     for row in result["rows"]:
         print(f"{row['variant']:14s} {row['acc_val_mean']:.4f} "
-              f"+/- {row['acc_val_std']:.4f}")
+              f"+/- {row['acc_val_std']:.4f} "
+              f"rho_spur={row['rho_spur_mean']:.4f}")
     return 0
 
 
@@ -183,7 +219,11 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg = _train_config(_load_json(args.config), args)
+    cfg = _train_config(_load_json(args.config), args.seed)
+    if cfg.mode == "stl":
+        raise UsageError(
+            "analyze reads the one model of an mtl-vanilla or mtcrl run; "
+            "an stl run writes one K = 1 model per task")
     out = _out_dir(args)
     train_b, valid_b, test_b, tasks, kinds, head_out = harness._dataset_bundle(cfg)
     envs = harness.split_environments(train_b, valid_b)

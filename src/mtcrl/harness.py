@@ -176,14 +176,9 @@ def make_optimizer(cfg: TrainConfig):
 
 
 def step_gradients(model: MtlModel, train_batch, env_batches,
-                   weights: PenaltyWeights, tape: T.Tape | None = None,
-                   detach_heads: bool = True):
+                   weights: PenaltyWeights, tape: T.Tape | None = None):
     """Per-parameter gradients of ``loss + lambda_girm * penalty`` from one
-    backward pass, plus loss-part metrics.
-
-    ``detach_heads=False`` exists only so tests can demonstrate that the
-    detachment contract matters; training always detaches.
-    """
+    backward pass, plus loss-part metrics."""
     assert train_batch.env_id == "train", \
         "task risks must come from the training environment only"
     tape = tape or T.Tape()
@@ -216,7 +211,6 @@ def step_gradients(model: MtlModel, train_batch, env_batches,
     if weights.girm_variant != "none" and weights.lambda_girm > 0:
         penalty = girm_penalty(model, binding, env_batches,
                                weights.girm_variant,
-                               detach_heads=detach_heads,
                                encoded=[(train_batch, z)])
         parts["girm"] = float(penalty.data)
         objective = T.add(loss, T.scale(penalty, weights.lambda_girm))
@@ -552,6 +546,8 @@ def run_task_sweep(task_counts, base: TrainConfig) -> dict:
 
 
 ABLATION_VARIANTS = {
+    "vanilla": {"lambda_decor": 0.0, "lambda_sps": 0.0, "lambda_bal": 0.0,
+                "lambda_girm": 0.0, "girm_variant": "none"},
     "full": {},
     "no-decor": {"lambda_decor": 0.0},
     "no-sps": {"lambda_sps": 0.0},
@@ -563,33 +559,34 @@ ABLATION_VARIANTS = {
 
 def run_ablation(base: TrainConfig, seeds=(0, 1, 2, 3, 4),
                  variants=None) -> dict:
-    """Toggle regularizer weights; mean +/- std of accuracy over seeds."""
+    """Toggle regularizer weights; per variant, accuracy mean +/- std and
+    mean rho_spur over seeds.  ``vanilla`` zeroes every regularizer, which
+    trains exactly as ``mode="mtl-vanilla"`` does."""
     if base.mode != "mtcrl":
         base = replace(base, mode="mtcrl")
     names = list(variants) if variants else list(ABLATION_VARIANTS)
-    configs, keys = [], []
+    configs = []
     for name in names:
         overrides = ABLATION_VARIANTS[name]
         weights = PenaltyWeights(**{**base.weights.__dict__, **overrides})
-        for seed in seeds:
-            configs.append(replace(base, weights=weights, seed=int(seed)))
-            keys.append((name, int(seed)))
-    reports = run_configs(configs)
-    per_variant = {name: {} for name in names}
-    for (name, seed), rep in zip(keys, reports):
-        per_variant[name][seed] = float(np.mean(rep["acc_val"]))
+        configs += [replace(base, weights=weights, seed=int(seed))
+                    for seed in seeds]
+    reports = iter(run_configs(configs))
     rows = []
     for name in names:
-        accs = [per_variant[name][s] for s in seeds]
+        runs = [next(reports) for _ in seeds]
+        accs = [float(np.mean(rep["acc_val"])) for rep in runs]
         rows.append({
             "variant": name,
             "acc_val_mean": float(np.mean(accs)),
             "acc_val_std": float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0,
+            "rho_spur_mean": float(np.mean([np.mean(rep["rho_spur"])
+                                            for rep in runs])),
             "per_seed": accs,
         })
     by_name = {r["variant"]: r for r in rows}
     orderings = {}
-    for other in ("no-decor", "no-graph-reg"):
+    for other in ("vanilla", "no-decor", "no-graph-reg"):
         if "full" in by_name and other in by_name:
             wins = sum(
                 by_name["full"]["per_seed"][i] > by_name[other]["per_seed"][i]

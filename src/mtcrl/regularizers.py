@@ -24,10 +24,6 @@ class RegularizerError(Exception):
     pass
 
 
-class DegenerateVarianceError(RegularizerError):
-    pass
-
-
 class EmptyBatchError(RegularizerError):
     pass
 
@@ -55,29 +51,23 @@ def _centered(z: T.Tensor, variance_floor: float):
     """Column-centered ``z`` and the floored inverse column norms (1 x d)."""
     zc = T.subtract(z, T.mean(z, axis=0, keepdims=True))
     var = T.sum_(T.square(zc), axis=0, keepdims=True)
-    return zc, var, T.pow_const(T.add(var, variance_floor), -0.5)
+    return zc, T.pow_const(T.add(var, variance_floor), -0.5)
 
 
 def pearson_corr(zi: T.Tensor, zj: T.Tensor,
-                 variance_floor: float = VARIANCE_FLOOR,
-                 strict: bool = False) -> T.Tensor:
+                 variance_floor: float = VARIANCE_FLOOR) -> T.Tensor:
     """In-batch correlation matrix between all column pairs of zi and zj.
 
     Covariances are centered sums (no 1/B factor; it cancels in the ratio).
     Column variances get ``variance_floor`` added inside the square roots so
-    constant columns yield 0 instead of dividing by zero; ``strict=True``
-    raises on such columns instead.
+    constant columns yield 0 instead of dividing by zero.
     """
     if zi.shape[0] < 2 or zi.shape[0] != zj.shape[0]:
         raise RegularizerError(
             f"pearson_corr needs >= 2 shared rows, got {zi.shape} vs {zj.shape}"
         )
-    zci, vi, inv_i = _centered(zi, variance_floor)
-    zcj, vj, inv_j = _centered(zj, variance_floor)
-    if strict and (vi.data.min() < variance_floor or vj.data.min() < variance_floor):
-        raise DegenerateVarianceError(
-            "a column's variance is below the floor; correlation undefined"
-        )
+    zci, inv_i = _centered(zi, variance_floor)
+    zcj, inv_j = _centered(zj, variance_floor)
     cov = T.matmul(T.transpose(zci), zcj)
     return T.multiply(T.multiply(cov, T.transpose(inv_i)), inv_j)
 
@@ -90,7 +80,7 @@ def module_correlation(z: T.Tensor,
         raise RegularizerError(
             f"module_correlation needs >= 2 rows, got {z.shape[0]}"
         )
-    zc, _, inv = _centered(z, variance_floor)
+    zc, inv = _centered(z, variance_floor)
     cov = T.matmul(T.transpose(zc), zc)
     return T.multiply(T.multiply(cov, T.transpose(inv)), inv)
 
@@ -184,7 +174,6 @@ def _encodings(model: MtlModel, binding: TapeBinding, env_batches, encoded):
 
 
 def environment_gradients(model: MtlModel, binding: TapeBinding, env_batches,
-                          detach_heads: bool = True,
                           encoded=()) -> EnvGradientSet:
     """Routing-row gradients of every (task, environment) risk.
 
@@ -192,16 +181,16 @@ def environment_gradients(model: MtlModel, binding: TapeBinding, env_batches,
     gradient of their sum is taken w.r.t. all rows: a row feeds only its
     own risk, so its entry is exactly that risk's gradient.
 
-    Heads are detached by default: the per-task predictors are treated as
-    fixed inside the invariance penalties, so the penalties contribute
-    exactly zero gradient to head parameters.
+    Heads are detached: the per-task predictors are treated as fixed
+    inside the invariance penalties, so the penalties contribute exactly
+    zero gradient to head parameters.
     """
     rows, total = {}, None
     for batch, z in _encodings(model, binding, env_batches, encoded):
         for t in range(model.tasks):
             row = model.routing_row(binding, t)
             risk = env_task_risk(model, binding, batch, t, z=z, a_row=row,
-                                 detach_heads=detach_heads)
+                                 detach_heads=True)
             rows[t, batch.env_id] = row
             total = risk if total is None else T.add(total, risk)
     gm = T.grad(total, list(rows.values()), create_graph=True)
@@ -256,20 +245,18 @@ def irm_baseline_penalty(model: MtlModel, binding: TapeBinding,
 
 
 def girm_penalty(model: MtlModel, binding: TapeBinding, env_batches,
-                 variant: str, detach_heads: bool = True,
-                 encoded=()) -> T.Tensor | None:
+                 variant: str, encoded=()) -> T.Tensor | None:
     """Dispatch on the invariance-penalty variant; None when disabled.
 
     ``encoded`` passes ``(batch, z)`` pairs already encoded on this tape.
-    ``detach_heads=False`` is a test hook for demonstrating the detachment
-    contract; the baseline variant never detaches by definition.
+    The graph-invariance variants detach the heads; the baseline variant
+    never detaches by definition.
     """
     if variant == "none":
         return None
     if variant == "irm-baseline":
         return irm_baseline_penalty(model, binding, env_batches, encoded)
     env_grads = environment_gradients(model, binding, env_batches,
-                                      detach_heads=detach_heads,
                                       encoded=encoded)
     if variant == "norm":
         return girm_norm_penalty(env_grads)

@@ -1,12 +1,16 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mtcrl.cli import main
+from mtcrl.cli import ablation_inputs, main, sweep_inputs, table2_inputs
 from mtcrl.data import SemSpec, read_container
-from mtcrl.harness import (TrainConfig, config_from_dict, config_hash,
-                           config_to_dict)
+from mtcrl.harness import (ABLATION_VARIANTS, TrainConfig, config_from_dict,
+                           config_hash, config_to_dict)
+from mtcrl.presets import desk_sem_spec, mtcrl_sem_config, shared_bottom_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def quick_config_dict(**overrides):
@@ -60,6 +64,12 @@ class TestUsageErrors:
         ("gen-data", {"dataset": {"kind": "multisem", "bogus": 1}}),
         ("sweep-tasks", {"tasks": [1, 2]}),
         ("sweep-tasks", {"base": {"dataset": {"kind": "multimnist"}}}),
+        ("ablate", {"seeds": "ab"}),
+        ("ablate", {"seeds": 3}),
+        ("ablate", {"seeds": []}),
+        ("table2", {"datasets": {"a": 1}}),
+        ("sweep-tasks", {"tasks": "24"}),
+        ("sweep-tasks", {"tasks": []}),
     ])
     def test_bad_driver_config_exits_two(self, command, payload, tmp_path,
                                          capsys):
@@ -234,6 +244,18 @@ class TestAnalyzeCommand:
         assert [summary["rho_spur"][str(t)] for t in range(2)] \
             == report["rho_spur"]
 
+    def test_stl_run_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(quick_config_dict(mode="stl")))
+        run_out, out = tmp_path / "run", tmp_path / "analysis"
+        assert main(["train", "--config", str(path),
+                     "--out", str(run_out)]) == 0
+        assert main(["analyze", "--config", str(path),
+                     "--checkpoint", str(run_out / "checkpoint_task0.json"),
+                     "--out", str(out)]) == 2
+        assert "one K = 1 model per task" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_checkpoint(self, config_file, tmp_path, capsys):
         assert main(["analyze", "--config", config_file,
                      "--checkpoint", str(tmp_path / "nope.json"),
@@ -254,3 +276,50 @@ class TestAnalyzeCommand:
         stored = json.loads((run_out / "report.json").read_text())["config_hash"]
         assert stored in err
         assert config_hash(config_from_dict(payload)) in err
+
+
+def shipped(name):
+    return json.loads((CONFIGS / f"{name}.json").read_text())
+
+
+class TestShippedConfigs:
+    def test_table2_is_shared_bottom_over_five_data_seeds(self):
+        base, datasets = table2_inputs(shipped("table2"))
+        assert base == shared_bottom_config(0)
+        assert datasets == [(f"sem{s}", desk_sem_spec(seed=s))
+                            for s in range(5)]
+
+    def test_sweep_is_shared_bottom(self):
+        tasks, base = sweep_inputs(shipped("sweep"))
+        assert base == shared_bottom_config(0)
+        assert tasks == [2, 4, 6, 8]
+
+    def test_method_is_mtcrl_preset_over_every_variant(self):
+        base, seeds, variants = ablation_inputs(shipped("method"))
+        assert base == mtcrl_sem_config(0)
+        assert seeds == [0, 1, 2, 3, 4]
+        assert variants == list(ABLATION_VARIANTS)
+
+    @pytest.mark.parametrize("command, name, outputs", [
+        ("table2", "table2", ("table2.csv", "saliency_stl_sem0.csv")),
+        ("sweep-tasks", "sweep", ("task_sweep.csv",
+                                  "task_sweep_verdicts.json")),
+        ("ablate", "method", ("ablation.csv", "ablation_orderings.json")),
+    ])
+    def test_shrunk_config_runs(self, command, name, outputs, tmp_path,
+                                capsys):
+        payload = shipped(name)
+        small = {"n_train": 60, "n_valid": 60, "n_test": 60}
+        payload["base"]["epochs"] = 2
+        payload["base"]["dataset"].update(small)
+        if "datasets" in payload:
+            payload["datasets"] = [{**payload["datasets"][0], **small}]
+        if "seeds" in payload:
+            payload["seeds"] = [0]
+            payload["variants"] = ["vanilla", "full"]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        for output in outputs:
+            assert (out / output).exists(), output
