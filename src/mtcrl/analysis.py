@@ -104,11 +104,12 @@ def task_module_gradients(model: MtlModel, env_batches) -> TaskModuleGradients:
     if len(env_batches) < 2:
         raise AnalysisError("need at least two environments")
     binding = TapeBinding(T.Tape())
+    a = model.routing.weights(binding)
     rows, total = {}, None
     for batch in env_batches:
         with binding.tape.stop_recording():  # z depends on no routing row
             z = model.encode(binding, batch.inputs)
-        rows[batch.env_id] = [model.routing_row(binding, t)
+        rows[batch.env_id] = [T.narrow(a, 0, t, 1)
                               for t in range(model.tasks)]
         for t, row in enumerate(rows[batch.env_id]):
             risk = env_task_risk(model, binding, batch, t, z=z, a_row=row)

@@ -58,7 +58,7 @@ def _parse(parser, payload):
 
 
 def _list_of(kind, key, non_empty=False):
-    """A ``_parse`` parser accepting only a JSON list of ``kind`` for ``key``."""
+    """A ``_parse`` parser accepting a list of distinct ``kind`` at ``key``."""
     def check(value):
         if not isinstance(value, list) or not all(
                 isinstance(v, kind) and not isinstance(v, bool) for v in value):
@@ -66,6 +66,9 @@ def _list_of(kind, key, non_empty=False):
                             f"got {value!r}")
         if non_empty and not value:
             raise ValueError(f"'{key}' must not be empty")
+        repeated = [v for i, v in enumerate(value) if v in value[:i]]
+        if repeated:
+            raise ValueError(f"'{key}' repeats {repeated!r}")
         return value
     return check
 
@@ -87,6 +90,7 @@ def table2_inputs(payload, seed=None):
         entry = dict(entry)
         name = entry.pop("name", f"dataset{i}")
         datasets.append((name, _parse(harness.dataset_from_dict, entry)))
+    _parse(_list_of(str, "dataset names"), [name for name, _ in datasets])
     return base, datasets or [("multisem", base.dataset)]
 
 

@@ -144,7 +144,7 @@ class ModuleBank:
         self.module_dim = total_dim // k
         self.net = Mlp("bank", (input_dim, *hidden, self.module_dim),
                        activation, rng, copies=k)
-        # routing row -> per-column weights (K x d); d columns -> module sum
+        # routing row -> per-column weights (K x d); column -> place in module
         self._expand = T.Tensor(np.kron(np.eye(k), np.ones((1, self.module_dim))))
         self._fold = T.Tensor(np.kron(np.ones((k, 1)), np.eye(self.module_dim)))
 
@@ -157,15 +157,21 @@ class ModuleBank:
         return self.net.forward(binding, x)
 
     def route(self, a_row: T.Tensor, z: T.Tensor) -> T.Tensor:
-        """Fuse module outputs: sum_i a_row[i] * (module i's columns of z)."""
+        """Fuse module outputs: sum_i a_row[i] * (module i's columns of z).
+
+        For K > 1 this is ``z @ mix``, whose d x m mixing matrix
+        ``mix = (a_row @ expand)^T * fold`` holds column j's module weight at
+        column j's place in its module: the row costs d x m work, not B x d,
+        and its gradient is ``z^T @ g``."""
         if a_row.size != self.k:
             raise ModelError(
                 f"routing row has {a_row.size} weights for {self.k} modules")
         if self.k == 1:
-            # the expand/fold products would only cost time at K = 1
+            # the mixing matrix would only cost time at K = 1
             return T.multiply(z, a_row)
-        return T.matmul(T.multiply(z, T.matmul(a_row, self._expand)),
-                        self._fold)
+        mix = T.multiply(T.transpose(T.matmul(a_row, self._expand)),
+                         self._fold)
+        return T.matmul(z, mix)
 
     def parameters(self) -> list[Parameter]:
         return self.net.parameters()

@@ -185,10 +185,11 @@ def environment_gradients(model: MtlModel, binding: TapeBinding, env_batches,
     inside the invariance penalties, so the penalties contribute exactly
     zero gradient to head parameters.
     """
+    a = model.routing.weights(binding)
     rows, total = {}, None
     for batch, z in _encodings(model, binding, env_batches, encoded):
         for t in range(model.tasks):
-            row = model.routing_row(binding, t)
+            row = T.narrow(a, 0, t, 1)
             risk = env_task_risk(model, binding, batch, t, z=z, a_row=row,
                                  detach_heads=True)
             rows[t, batch.env_id] = row
@@ -231,10 +232,11 @@ def irm_baseline_penalty(model: MtlModel, binding: TapeBinding,
     parameters.  This is the multi-task IRM adaptation: unlike the
     graph-invariance penalties, heads are not detached; environments share
     them, so each (task, environment) takes its own inner gradient."""
+    a = model.routing.weights(binding)
     total = None
     for batch, z in _encodings(model, binding, env_batches, encoded):
         for t in range(model.tasks):
-            row = model.routing_row(binding, t)
+            row = T.narrow(a, 0, t, 1)
             risk = env_task_risk(model, binding, batch, t, z=z, a_row=row)
             head_leaves = binding.leaves_for(model.heads[t].parameters())
             gm = T.grad(risk, [row, *head_leaves], create_graph=True)

@@ -12,7 +12,8 @@ Conventions:
   * leaves (parameters, inputs) are put on a tape via :meth:`Tape.leaf`;
   * tensors with ``node is None`` are constants - gradients never flow
     into them;
-  * one tape per training step, reset between steps.
+  * one tape per training step, reset between steps;
+  * nothing writes tensor data in place, so ``transpose`` returns a view.
 
 :func:`grad` walks only the nodes between the output and the requested
 tensors, and tells each backward rule which parents need a gradient; a
@@ -304,7 +305,7 @@ def transpose(a) -> Tensor:
     def vjp(g, needs):
         return (transpose(g),)
 
-    return _make("transpose", a.data.T.copy(), (a,), vjp)
+    return _make("transpose", a.data.T, (a,), vjp)
 
 
 def reshape(a, shape) -> Tensor:

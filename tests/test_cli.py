@@ -70,6 +70,11 @@ class TestUsageErrors:
         ("table2", {"datasets": {"a": 1}}),
         ("sweep-tasks", {"tasks": "24"}),
         ("sweep-tasks", {"tasks": []}),
+        ("ablate", {"seeds": [0, 0]}),
+        ("ablate", {"variants": ["full", "full"]}),
+        ("sweep-tasks", {"tasks": [2, 2]}),
+        ("table2", {"datasets": [{"name": "a", "seed": 1},
+                                 {"name": "a", "seed": 2}]}),
     ])
     def test_bad_driver_config_exits_two(self, command, payload, tmp_path,
                                          capsys):

@@ -11,7 +11,7 @@ from mtcrl.harness import (ABLATION_VARIANTS, Adam, HarnessError, Sgd,
                            config_hash, config_to_dict, evaluate, run_ablation,
                            run_table2, run_task_sweep, spearman, step_gradients,
                            train, train_step)
-from mtcrl.model import MtlModel, TapeBinding
+from mtcrl.model import ModuleBank, MtlModel, TapeBinding
 from mtcrl.regularizers import (PenaltyWeights, decorrelation_loss,
                                 env_task_risk, girm_penalty, graph_reg_loss)
 
@@ -149,6 +149,34 @@ class TestTrainStep:
             err = np.linalg.norm(grads[p.name] - ref)
             assert err <= 1e-12 * np.linalg.norm(ref), p.name
 
+    @pytest.mark.parametrize("k, variant", [(2, "var"), (8, "var"),
+                                            (2, "norm"), (2, "irm-baseline")])
+    def test_mixing_route_matches_expand_fold_reference(self, k, variant,
+                                                        monkeypatch):
+        # reference: the route as (z * (a_row @ expand)) @ fold, whose row
+        # gradient goes through a B x d product instead of z^T @ g
+        def expand_fold(bank, a_row, z):
+            return T.matmul(T.multiply(z, T.matmul(a_row, bank._expand)),
+                            bank._fold)
+
+        model = MtlModel(tasks=2, k=k, input_dim=4, total_dim=16,
+                         encoder_hidden=(5,), encoder_activation="tanh",
+                         head_hidden=(), head_out_dims=[1, 1],
+                         loss_kinds=["mse", "mse"],
+                         rng=np.random.default_rng(8))
+        batches = tiny_batches(seed=8)
+        weights = PenaltyWeights(1.0, 0.1, 0.5, 3.0, variant)
+        grads, parts = step_gradients(model, batches[0], batches, weights)
+        with monkeypatch.context() as patch:
+            patch.setattr(ModuleBank, "route", expand_fold)
+            ref, ref_parts = step_gradients(model, batches[0], batches,
+                                            weights)
+        for name in ("loss", "girm"):
+            assert parts[name] == pytest.approx(ref_parts[name], rel=1e-12)
+        for name, r in ref.items():
+            err = np.linalg.norm(grads[name] - r)
+            assert err <= 1e-12 * np.linalg.norm(r), name
+
     def test_hand_built_sgd_step(self):
         # one-parameter linear model: loss = (w*x - y)^2, by-hand update
         rng = np.random.default_rng(0)
@@ -215,6 +243,8 @@ class TestTrainStep:
             step_gradients(model, batches[0], batches,
                            PenaltyWeights(1.0, 0.1, 0.5, 2.0, "var"), tape=tape)
             nodes.append(len(tape.nodes))
+            # one sigmoid for the loss's routing rows, one for the penalty's
+            assert [n.op for n in tape.nodes].count("sigmoid") == 2
             assert len(grad_calls) == 2
             assert len(encodes) == 2
         assert nodes[0] == nodes[1]

@@ -103,6 +103,44 @@ class TestRoute:
         with pytest.raises(ModelError, match="routing row"):
             bank.route(T.Tensor(np.zeros((1, 2))), T.Tensor(np.zeros((2, 6))))
 
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_matches_per_module_sum(self, k):
+        bank = make_model(k=k, total_dim=2 * k).bank
+        rng = np.random.default_rng(k)
+        z, g = rng.normal(size=(5, 2 * k)), rng.normal(size=(5, 2))
+        a = rng.uniform(size=(1, k))
+        blocks = [z[:, 2 * i:2 * i + 2] for i in range(k)]
+        tape = T.Tape()
+        row = tape.leaf(a)
+        out = bank.route(row, T.Tensor(z))
+        ref = sum(a[0, i] * blocks[i] for i in range(k))
+        np.testing.assert_allclose(out.data, ref, rtol=0,
+                                   atol=1e-15 * np.abs(ref).max())
+        # d/da_i of sum(out * g) is sum(z_i * g)
+        got = T.grad(T.sum_(T.multiply(out, T.Tensor(g))), [row]).get(row)
+        expected = [np.sum(b * g) for b in blocks]
+        np.testing.assert_allclose(got.data[0], expected, rtol=1e-13)
+
+        def f(row, z):
+            return T.sum_(T.square(T.subtract(bank.route(row, z), g)))
+
+        for order in (1, 2):
+            assert T.finite_diff_check(f, [a, z], order=order) < 1e-7
+
+    def test_records_one_batch_sized_node(self):
+        # B = 5 rows, d = 16 columns: only the final product is B x m
+        bank = make_model(k=8, total_dim=16).bank
+        tape = T.Tape()
+        row = tape.leaf(np.full((1, 8), 0.5))
+        z = tape.leaf(np.random.default_rng(4).normal(size=(5, 16)))
+        start = len(tape.nodes)
+        out = bank.route(row, z)
+        added = tape.nodes[start:]
+        shapes = [p.shape for n in added for p in n.parents
+                  if p.node in added] + [out.shape]
+        assert len(shapes) == len(added)
+        assert [s[0] for s in shapes].count(5) == 1
+
 
 class TestRoutingWeights:
     def test_zero_logits_give_half(self):

@@ -124,6 +124,11 @@ class TestSecondOrder:
         assert all(tape.nodes[i].nid == i for i in range(len(tape.nodes)))
 
 
+def test_transpose_is_a_view():
+    x = T.Tensor(np.arange(6.0).reshape(2, 3))
+    assert np.shares_memory(T.transpose(x).data, x.data)
+
+
 class TestPrunedBackward:
     def test_constant_matmul_operand_gets_no_adjoint(self):
         rng = np.random.default_rng(3)
