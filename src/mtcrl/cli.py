@@ -80,10 +80,18 @@ def _train_config(payload, seed=None) -> harness.TrainConfig:
     return cfg
 
 
+def _driver_base(payload, seed=None) -> harness.TrainConfig:
+    """The ``base`` train config of a driver config.  Every driver runs a
+    K-module mode, so the base is also checked as one."""
+    base = _train_config(payload.get("base", {}), seed)
+    _parse(lambda b: replace(b, mode="mtl-vanilla"), base)
+    return base
+
+
 def table2_inputs(payload, seed=None):
     """``(base, datasets)`` of a table2 config: (name, spec) pairs, by
     default the base dataset alone."""
-    base = _train_config(payload.get("base", {}), seed)
+    base = _driver_base(payload, seed)
     datasets = []
     entries = _parse(_list_of(dict, "datasets"), payload.get("datasets", []))
     for i, entry in enumerate(entries):
@@ -96,7 +104,7 @@ def table2_inputs(payload, seed=None):
 
 def sweep_inputs(payload, seed=None):
     """``(task_counts, base)`` of a sweep-tasks config."""
-    base = _train_config(payload.get("base", {}), seed)
+    base = _driver_base(payload, seed)
     tasks = _parse(_list_of(int, "tasks", non_empty=True),
                    payload.get("tasks", [2, 4, 6, 8]))
     return _parse(lambda t: harness.task_sweep_counts(t, base), tasks), base
@@ -105,7 +113,7 @@ def sweep_inputs(payload, seed=None):
 def ablation_inputs(payload):
     """``(base, seeds, variants)`` of an ablate config; no variants means
     all of them."""
-    base = _train_config(payload.get("base", {}))
+    base = _driver_base(payload)
     seeds = _parse(_list_of(int, "seeds", non_empty=True),
                    payload.get("seeds", [0, 1, 2, 3, 4]))
     variants = _parse(_list_of(str, "variants"), payload.get("variants", []))

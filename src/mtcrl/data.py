@@ -216,17 +216,14 @@ def partition_pairs(spec: MnistPairSpec):
             pairs[n_train + n_valid:])
 
 
-def compose_multimnist(spec: MnistPairSpec, images=None, labels=None):
+def compose_multimnist(spec: MnistPairSpec):
     """Build train/valid/test pair batches from IDX digit data.
 
     Each sample is the horizontal concatenation [left | right], flattened;
-    task 0 is the left digit class, task 1 the right.  Pass ``images`` and
-    ``labels`` directly to skip file loading.
+    task 0 is the left digit class, task 1 the right.
     """
-    if images is None:
-        images = load_idx(spec.images_path)
-    if labels is None:
-        labels = load_idx(spec.labels_path)
+    images = load_idx(spec.images_path)
+    labels = load_idx(spec.labels_path)
     if images.shape[0] != labels.shape[0]:
         raise IdxFormatError(
             f"image count {images.shape[0]} != label count {labels.shape[0]}"
@@ -265,23 +262,13 @@ def compose_multimnist(spec: MnistPairSpec, images=None, labels=None):
     return tuple(batches)
 
 
-def split_environments(*batches, names=None):
-    """Tag batches with environment ids for the invariance penalties.
-
-    Defaults to ('train', 'valid') naming; task losses must only ever be
-    computed on the 'train' environment.
-    """
-    if len(batches) < 1 or any(b.n_samples == 0 for b in batches):
+def split_environments(train, valid):
+    """Tag the two batches as the 'train' and 'valid' environments of the
+    invariance penalties; task losses must only ever be computed on
+    'train'."""
+    if train.n_samples == 0 or valid.n_samples == 0:
         raise DataError("environments must be non-empty")
-    if names is None:
-        names = ("train", "valid") if len(batches) == 2 else tuple(
-            f"env{i}" for i in range(len(batches))
-        )
-        if len(batches) == 1:
-            names = ("train",)
-    if len(names) != len(batches):
-        raise DataError("one name per environment required")
-    return [replace(b, env_id=name) for b, name in zip(batches, names)]
+    return [replace(train, env_id="train"), replace(valid, env_id="valid")]
 
 
 # ---------------------------------------------------------------------------

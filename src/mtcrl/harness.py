@@ -22,9 +22,9 @@ from . import tensor as T
 from .analysis import factor_gradient, spurious_score, task_similarity
 from .data import (EnvironmentBatch, MnistPairSpec, SemSpec, compose_multimnist,
                    gen_multisem, split_environments)
-from .model import MtlModel, TapeBinding
+from .model import ACTIVATIONS, MtlModel, TapeBinding
 from .regularizers import (PenaltyWeights, decorrelation_loss, env_task_risk,
-                           girm_penalty, graph_reg_loss)
+                           girm_penalty, graph_reg_loss, task_loss)
 
 MODES = ("stl", "mtl-vanilla", "mtcrl")
 RHO_SPUR_SPLITS = ("train", "valid", "test")
@@ -60,8 +60,19 @@ class TrainConfig:
             raise HarnessError(f"mode must be one of {MODES}, got '{self.mode}'")
         if self.optimizer not in ("sgd", "adam"):
             raise HarnessError(f"unknown optimizer '{self.optimizer}'")
-        if self.epochs < 0 or self.patience < 0:
-            raise HarnessError("epochs and patience must be nonnegative")
+        for name in ("epochs", "patience", "batch_size", "stl_module_dim",
+                     "learning_rate"):
+            if getattr(self, name) < 0:
+                raise HarnessError(f"{name} must be nonnegative")
+        for name in ("k_modules", "total_module_dim"):
+            if getattr(self, name) < 1:
+                raise HarnessError(f"{name} must be at least 1")
+        if self.mode != "stl" and self.total_module_dim % self.k_modules:
+            raise HarnessError(f"total_module_dim {self.total_module_dim} is "
+                               f"not divisible by k_modules {self.k_modules}")
+        if self.encoder_activation not in ACTIVATIONS:
+            raise HarnessError(f"encoder_activation must be one of "
+                               f"{ACTIVATIONS}, got '{self.encoder_activation}'")
         if self.rho_spur_split not in RHO_SPUR_SPLITS:
             raise HarnessError(f"rho_spur_split must be one of {RHO_SPUR_SPLITS}"
                                f", got '{self.rho_spur_split}'")
@@ -234,7 +245,8 @@ def train_step(model: MtlModel, train_batch, env_batches,
 
 
 def evaluate(model: MtlModel, batch) -> dict:
-    """Risks and accuracies per task; no nodes are recorded."""
+    """Risks (by the step's ``task_loss``) and accuracies per task; no nodes
+    are recorded."""
     tape = T.Tape()
     tape.recording = False
     binding = TapeBinding(tape)
@@ -243,18 +255,13 @@ def evaluate(model: MtlModel, batch) -> dict:
     for t in range(model.tasks):
         pred = model.predict(binding, t, z=z)
         kind = model.loss_kinds[t]
-        y = batch.labels[t]
+        y = np.asarray(batch.labels[t])
+        risks.append(task_loss(pred, y, kind).item())
         if kind == "mse":
-            err = pred.data.ravel() - np.asarray(y, dtype=np.float64)
-            risks.append(float(np.mean(err ** 2)))
-            accs.append(float(np.mean(np.where(pred.data.ravel() >= 0, 1.0, -1.0)
-                                      == np.asarray(y))))
+            hit = np.where(pred.data.ravel() >= 0, 1.0, -1.0) == y
         else:
-            logp = pred.data - pred.data.max(axis=1, keepdims=True)
-            logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
-            labels = np.asarray(y).astype(np.int64)
-            risks.append(float(-logp[np.arange(labels.size), labels].mean()))
-            accs.append(float(np.mean(pred.data.argmax(axis=1) == labels)))
+            hit = pred.data.argmax(axis=1) == y.astype(np.int64)
+        accs.append(float(np.mean(hit)))
     return {"risks": risks, "accuracy": accs}
 
 

@@ -177,11 +177,6 @@ class ModuleBank:
         return self.net.parameters()
 
 
-def routing_weights(theta: T.Tensor) -> T.Tensor:
-    """Elementwise sigmoid of the routing logits."""
-    return T.sigmoid(theta)
-
-
 class RoutingGraph:
     """T x K learnable logits; weights A = sigmoid(theta), recomputed per access."""
 
@@ -191,7 +186,7 @@ class RoutingGraph:
         self.theta = Parameter("routing.theta", np.zeros((tasks, k)))
 
     def weights(self, binding: TapeBinding) -> T.Tensor:
-        return routing_weights(binding.leaf(self.theta))
+        return T.sigmoid(binding.leaf(self.theta))
 
     def matrix(self) -> np.ndarray:
         """Current numpy value of A (reporting only, not differentiable)."""
@@ -252,14 +247,12 @@ class MtlModel:
         fused = self.bank.route(a_row, z)
         return self.heads[t].forward(binding, fused, detach=detach_heads)
 
-    def encoder_parameters(self) -> list[Parameter]:
-        return self.bank.parameters() + [self.routing.theta]
-
     def head_parameters(self) -> list[Parameter]:
         return [p for head in self.heads for p in head.parameters()]
 
     def parameters(self) -> list[Parameter]:
-        return self.encoder_parameters() + self.head_parameters()
+        return [*self.bank.parameters(), self.routing.theta,
+                *self.head_parameters()]
 
     # --- checkpointing ----------------------------------------------------
 

@@ -9,7 +9,7 @@ invariance penalties additionally run their inner gradient with
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,46 +47,43 @@ class PenaltyWeights:
             )
 
 
-def _centered(z: T.Tensor, variance_floor: float):
+def _centered(z: T.Tensor):
     """Column-centered ``z`` and the floored inverse column norms (1 x d)."""
     zc = T.subtract(z, T.mean(z, axis=0, keepdims=True))
     var = T.sum_(T.square(zc), axis=0, keepdims=True)
-    return zc, T.pow_const(T.add(var, variance_floor), -0.5)
+    return zc, T.pow_const(T.add(var, VARIANCE_FLOOR), -0.5)
 
 
-def pearson_corr(zi: T.Tensor, zj: T.Tensor,
-                 variance_floor: float = VARIANCE_FLOOR) -> T.Tensor:
+def pearson_corr(zi: T.Tensor, zj: T.Tensor) -> T.Tensor:
     """In-batch correlation matrix between all column pairs of zi and zj.
 
     Covariances are centered sums (no 1/B factor; it cancels in the ratio).
-    Column variances get ``variance_floor`` added inside the square roots so
+    Column variances get ``VARIANCE_FLOOR`` added inside the square roots so
     constant columns yield 0 instead of dividing by zero.
     """
     if zi.shape[0] < 2 or zi.shape[0] != zj.shape[0]:
         raise RegularizerError(
             f"pearson_corr needs >= 2 shared rows, got {zi.shape} vs {zj.shape}"
         )
-    zci, inv_i = _centered(zi, variance_floor)
-    zcj, inv_j = _centered(zj, variance_floor)
+    zci, inv_i = _centered(zi)
+    zcj, inv_j = _centered(zj)
     cov = T.matmul(T.transpose(zci), zcj)
     return T.multiply(T.multiply(cov, T.transpose(inv_i)), inv_j)
 
 
-def module_correlation(z: T.Tensor,
-                       variance_floor: float = VARIANCE_FLOOR) -> T.Tensor:
+def module_correlation(z: T.Tensor) -> T.Tensor:
     """Correlation matrix over all columns of the module encodings ``z``
     (B x d), from one centering and one variance vector (d x d)."""
     if z.shape[0] < 2:
         raise RegularizerError(
             f"module_correlation needs >= 2 rows, got {z.shape[0]}"
         )
-    zc, inv = _centered(z, variance_floor)
+    zc, inv = _centered(z)
     cov = T.matmul(T.transpose(zc), zc)
     return T.multiply(T.multiply(cov, T.transpose(inv)), inv)
 
 
-def decorrelation_loss(z: T.Tensor, k: int, lambda_decor: float,
-                       variance_floor: float = VARIANCE_FLOOR) -> T.Tensor:
+def decorrelation_loss(z: T.Tensor, k: int, lambda_decor: float) -> T.Tensor:
     """Squared Frobenius norms of pairwise module correlations, summed i<j.
 
     ``z`` holds the ``k`` modules' outputs side by side, d/k columns each.
@@ -98,7 +95,7 @@ def decorrelation_loss(z: T.Tensor, k: int, lambda_decor: float,
         return T.Tensor(0.0)
     block = np.repeat(np.arange(k), z.shape[1] // k)
     cross = T.Tensor((block[:, None] != block[None, :]).astype(np.float64))
-    rho = T.multiply(module_correlation(z, variance_floor), cross)
+    rho = T.multiply(module_correlation(z), cross)
     return T.scale(T.l2_norm_sq(rho), 0.5 * lambda_decor)
 
 
@@ -150,19 +147,6 @@ def env_task_risk(model: MtlModel, binding: TapeBinding, batch, t: int,
     return task_loss(pred, batch.labels[t], model.loss_kinds[t])
 
 
-@dataclass
-class EnvGradientSet:
-    """Per task, per environment: gradient of the env risk w.r.t. the task's
-    routing row (a 1 x K tensor, on the tape so it can be differentiated)."""
-
-    grads: dict = field(default_factory=dict)  # task -> {env_id -> Tensor}
-    env_order: tuple = ()
-
-    def for_task(self, t: int) -> list[T.Tensor]:
-        by_env = self.grads[t]
-        return [by_env[e] for e in self.env_order]
-
-
 def _encodings(model: MtlModel, binding: TapeBinding, env_batches, encoded):
     """``(batch, z)`` per environment, reusing the encoding of any batch
     that is itself one of the ``(batch, z)`` pairs in ``encoded``."""
@@ -174,8 +158,9 @@ def _encodings(model: MtlModel, binding: TapeBinding, env_batches, encoded):
 
 
 def environment_gradients(model: MtlModel, binding: TapeBinding, env_batches,
-                          encoded=()) -> EnvGradientSet:
-    """Routing-row gradients of every (task, environment) risk.
+                          encoded=()) -> dict:
+    """``{task: {env_id: gradient}}`` in environment order: the routing-row
+    gradient (1 x K, on the tape) of every (task, environment) risk.
 
     Each risk is built on its own routing-row node and one create_graph
     gradient of their sum is taken w.r.t. all rows: a row feeds only its
@@ -195,27 +180,26 @@ def environment_gradients(model: MtlModel, binding: TapeBinding, env_batches,
             rows[t, batch.env_id] = row
             total = risk if total is None else T.add(total, risk)
     gm = T.grad(total, list(rows.values()), create_graph=True)
-    grads = {t: {e: gm.get(row) for (u, e), row in rows.items() if u == t}
-             for t in range(model.tasks)}
-    return EnvGradientSet(grads, tuple(b.env_id for b in env_batches))
+    return {t: {e: gm.get(row) for (u, e), row in rows.items() if u == t}
+            for t in range(model.tasks)}
 
 
-def girm_norm_penalty(env_grads: EnvGradientSet) -> T.Tensor:
+def girm_norm_penalty(env_grads: dict) -> T.Tensor:
     """Sum over tasks and environments of squared routing-gradient norms."""
     total = None
-    for t in env_grads.grads:
-        for g in env_grads.for_task(t):
+    for by_env in env_grads.values():
+        for g in by_env.values():
             term = T.l2_norm_sq(g)
             total = term if total is None else T.add(total, term)
     return total
 
 
-def girm_var_penalty(env_grads: EnvGradientSet) -> T.Tensor:
+def girm_var_penalty(env_grads: dict) -> T.Tensor:
     """Cross-environment variance of the routing gradients, summed over tasks."""
     total = None
-    n_env = len(env_grads.env_order)
-    for t in env_grads.grads:
-        gs = env_grads.for_task(t)
+    for by_env in env_grads.values():
+        gs = list(by_env.values())
+        n_env = len(gs)
         avg = gs[0]
         for g in gs[1:]:
             avg = T.add(avg, g)

@@ -75,6 +75,15 @@ class TestUsageErrors:
         ("sweep-tasks", {"tasks": [2, 2]}),
         ("table2", {"datasets": [{"name": "a", "seed": 1},
                                  {"name": "a", "seed": 2}]}),
+        ("train", quick_config_dict(k_modules=3)),
+        ("train", quick_config_dict(k_modules=0)),
+        ("train", quick_config_dict(total_module_dim=0)),
+        ("train", quick_config_dict(encoder_activation="gelu")),
+        ("train", quick_config_dict(batch_size=-5)),
+        ("train", quick_config_dict(learning_rate=-1)),
+        ("table2", {"base": {"mode": "stl", "k_modules": 3}}),
+        ("sweep-tasks", {"base": {"mode": "stl", "k_modules": 3}}),
+        ("ablate", {"base": {"mode": "stl", "k_modules": 3}}),
     ])
     def test_bad_driver_config_exits_two(self, command, payload, tmp_path,
                                          capsys):

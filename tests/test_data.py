@@ -209,19 +209,14 @@ class TestEnvironments:
         envs = split_environments(train, valid)
         assert [e.env_id for e in envs] == ["train", "valid"]
 
-    def test_n_environment_tagging(self):
-        spec = SemSpec(n_train=20, n_valid=20, n_test=20)
-        batches = gen_multisem(spec)
-        envs = split_environments(*batches)
-        assert [e.env_id for e in envs] == ["env0", "env1", "env2"]
-        envs = split_environments(*batches, names=("a", "b", "c"))
-        assert [e.env_id for e in envs] == ["a", "b", "c"]
-
     def test_rejects_empty(self):
         empty = EnvironmentBatch("x", np.zeros((0, 2)), {0: np.zeros(0)},
                                  {0: np.zeros(2, bool)})
-        with pytest.raises(DataError):
-            split_environments(empty)
+        full = EnvironmentBatch("x", np.zeros((3, 2)), {0: np.zeros(3)},
+                                {0: np.zeros(2, bool)})
+        for pair in ((empty, full), (full, empty)):
+            with pytest.raises(DataError):
+                split_environments(*pair)
 
 
 class TestExport:

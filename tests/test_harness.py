@@ -72,6 +72,13 @@ class TestConfig:
         with pytest.raises(HarnessError):
             quick_config(mode="finetune")
 
+    def test_module_split_checked_only_for_k_module_models(self):
+        # stl fits K = 1 models, so k_modules need not divide the width
+        assert quick_config(mode="stl", k_modules=3).k_modules == 3
+        for mode in ("mtl-vanilla", "mtcrl"):
+            with pytest.raises(HarnessError, match="divisible"):
+                quick_config(mode=mode, k_modules=3)
+
 
 class TestOptimizers:
     def test_sgd_update_rule(self):
@@ -112,7 +119,7 @@ class TestTrainStep:
             np.testing.assert_array_equal(g0[p.name], g1[p.name])
         assert any(
             not np.array_equal(g0[p.name], g1[p.name])
-            for p in model.encoder_parameters()
+            for p in [*model.bank.parameters(), model.routing.theta]
         )
 
     @pytest.mark.parametrize("k, variant", [(2, "var"), (8, "var"),
@@ -330,6 +337,27 @@ class TestEvaluate:
         out = evaluate(model, batch)
         assert len(out["accuracy"]) == 2
         assert all(0.0 <= a <= 1.0 for a in out["accuracy"])
+
+    @pytest.mark.parametrize("kind", ["mse", "xent"])
+    def test_risks_are_the_step_risks(self, kind):
+        # one loss implementation: the risk curves hold, bit for bit, the
+        # risks a full-batch step trains on (150 rows, so 1/n is inexact)
+        classes = 1 if kind == "mse" else 3
+        for seed in range(3):
+            model = MtlModel(tasks=3, k=2, input_dim=4, total_dim=8,
+                             encoder_hidden=(5,), encoder_activation="tanh",
+                             head_hidden=(), head_out_dims=[classes] * 3,
+                             loss_kinds=[kind] * 3,
+                             rng=np.random.default_rng(seed))
+            batches = tiny_batches(seed=seed, n=150, tasks=3)
+            if kind == "xent":
+                rng = np.random.default_rng(seed + 10)
+                for b in batches:
+                    b.labels = {t: rng.integers(0, classes, size=150)
+                                for t in b.labels}
+            _, parts = step_gradients(model, batches[0], batches,
+                                      PenaltyWeights(1.0, 0.1, 0.5, 3.0, "var"))
+            assert evaluate(model, batches[0])["risks"] == parts["task_risks"]
 
 
 class TestMultiMnistEndToEnd:

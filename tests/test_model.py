@@ -5,7 +5,7 @@ import pytest
 
 from mtcrl import tensor as T
 from mtcrl.model import (Mlp, ModelError, MtlModel, TapeBinding, UnknownTaskError,
-                         load_checkpoint, routing_weights, save_checkpoint)
+                         RoutingGraph, load_checkpoint, save_checkpoint)
 from mtcrl.oracles import BayesParams, bayes_posterior
 
 DATA = Path(__file__).parent / "data"
@@ -142,18 +142,23 @@ class TestRoute:
         assert [s[0] for s in shapes].count(5) == 1
 
 
+def routing_weights(theta):
+    """``RoutingGraph.weights`` for the T x K logits ``theta``."""
+    graph = RoutingGraph(*np.shape(theta))
+    graph.theta.value[...] = theta
+    return graph.weights(fresh_binding()).data
+
+
 class TestRoutingWeights:
     def test_zero_logits_give_half(self):
-        a = routing_weights(T.Tensor(np.zeros((3, 4))))
-        np.testing.assert_array_equal(a.data, 0.5)
+        np.testing.assert_array_equal(routing_weights(np.zeros((3, 4))), 0.5)
 
     def test_monotone_toward_one(self):
-        thetas = np.array([0.0, 1.0, 5.0, 20.0, 60.0])
-        a = routing_weights(T.Tensor(thetas)).data
+        a = routing_weights(np.array([[0.0, 1.0, 5.0, 20.0, 60.0]]))[0]
         assert np.all(np.diff(a) >= 0) and a[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_four_decimal_example(self):
-        a = routing_weights(T.Tensor(np.array([[-2.0, 2.0]]))).data
+        a = routing_weights(np.array([[-2.0, 2.0]]))
         np.testing.assert_allclose(a, [[0.1192, 0.8808]], atol=5e-5)
 
     def test_recomputed_after_update(self):

@@ -5,8 +5,7 @@ from mtcrl import tensor as T
 from mtcrl.data import EnvironmentBatch
 from mtcrl.harness import step_gradients
 from mtcrl.model import MtlModel, TapeBinding
-from mtcrl.regularizers import (EmptyBatchError, EnvGradientSet,
-                                PenaltyWeights, RegularizerError,
+from mtcrl.regularizers import (EmptyBatchError, PenaltyWeights, RegularizerError,
                                 decorrelation_loss,
                                 env_task_risk, environment_gradients,
                                 girm_norm_penalty, girm_penalty,
@@ -216,14 +215,12 @@ class TestEnvTaskRisk:
 
 
 def constant_grad_set(per_task_env):
-    """EnvGradientSet from plain arrays, e.g. {0: {'train': [1, 0]}}."""
-    grads = {
+    """Routing gradients from plain arrays, e.g. {0: {'train': [1, 0]}}."""
+    return {
         t: {env: T.Tensor(np.asarray(vec, dtype=float).reshape(1, -1))
             for env, vec in envs.items()}
         for t, envs in per_task_env.items()
     }
-    env_order = tuple(next(iter(per_task_env.values())).keys())
-    return EnvGradientSet(grads, env_order)
 
 
 class TestGirmPenalties:
@@ -272,7 +269,7 @@ class TestGirmPenalties:
                 risk = env_task_risk(model, binding, batch, t, z=z, a_row=row,
                                      detach_heads=True)
                 np.testing.assert_array_equal(
-                    gs.grads[t][batch.env_id].data,
+                    gs[t][batch.env_id].data,
                     T.grad(risk, [row]).get(row).data)
 
     def test_reused_encoding_gives_same_penalty(self):
