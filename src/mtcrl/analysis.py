@@ -41,8 +41,8 @@ def factor_gradient(model: MtlModel, t: int, batch) -> np.ndarray:
         score = T.sum_(T.multiply(out, T.Tensor(onehot)))
     else:
         score = T.sum_(out)
-    g = T.grad(score, [x]).get(x).data
-    return np.abs(g).sum(axis=0)
+    g, = T.grad(score, [x])
+    return np.abs(g.data).sum(axis=0)
 
 
 def spurious_score(grad_per_dim: np.ndarray, causal_mask: np.ndarray) -> float:
@@ -114,8 +114,8 @@ def task_module_gradients(model: MtlModel, env_batches) -> TaskModuleGradients:
         for t, row in enumerate(rows[batch.env_id]):
             risk = env_task_risk(model, binding, batch, t, z=z, a_row=row)
             total = risk if total is None else T.add(total, risk)
-    gm = T.grad(total, [row for env in rows.values() for row in env])
-    per_env = {e: np.vstack([gm.get(row).data for row in env])
+    grads = iter(T.grad(total, [row for env in rows.values() for row in env]))
+    per_env = {e: np.vstack([next(grads).data for _ in env])
                for e, env in rows.items()}
     if "train" in per_env and "valid" in per_env:
         pair = ("train", "valid")
@@ -149,13 +149,10 @@ def task_similarity(a_matrix, threshold: float = 0.1) -> SimilarityGraph:
 # exports
 
 
-def write_matrix_csv(path, matrix, row_labels=None, col_labels=None):
+def write_matrix_csv(path, matrix, row_labels=None):
     matrix = np.atleast_2d(np.asarray(matrix))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if col_labels is not None:
-            writer.writerow(([""] if row_labels is not None else [])
-                            + list(col_labels))
         for i, row in enumerate(matrix):
             prefix = [row_labels[i]] if row_labels is not None else []
             writer.writerow(prefix + [repr(float(v)) for v in row])

@@ -24,7 +24,7 @@ import numpy as np
 from . import analysis, harness, oracles
 from .data import (SemSpec, gen_multisem, compose_multimnist, write_batch_csv,
                    write_container)
-from .model import load_checkpoint, save_checkpoint
+from .model import ModelError, load_checkpoint, save_checkpoint
 
 
 class UsageError(Exception):
@@ -112,8 +112,9 @@ def sweep_inputs(payload, seed=None):
 
 def ablation_inputs(payload):
     """``(base, seeds, variants)`` of an ablate config; no variants means
-    all of them."""
+    all of them.  The ablation trains its base in mtcrl mode."""
     base = _driver_base(payload)
+    _parse(lambda b: replace(b, mode="mtcrl"), base)
     seeds = _parse(_list_of(int, "seeds", non_empty=True),
                    payload.get("seeds", [0, 1, 2, 3, 4]))
     variants = _parse(_list_of(str, "variants"), payload.get("variants", []))
@@ -152,7 +153,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _train_config(_load_json(args.config), args.seed)
     out = _out_dir(args)
-    report, models = harness.train(cfg, return_model=True)
+    report, models = harness.train(cfg)
     (out / "report.json").write_text(report.json())
     if cfg.mode == "stl":
         names = [f"checkpoint_task{t}.json" for t in range(len(models))]
@@ -219,6 +220,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
     out = _out_dir(args)
     rows = oracles.oracle_check(n_seeds=args.seeds)
     _write_rows_csv(out / "oracle_check.csv", rows,
@@ -244,7 +247,11 @@ def cmd_analyze(args) -> int:
     if args.checkpoint:
         if not os.path.exists(args.checkpoint):
             raise UsageError(f"checkpoint not found: {args.checkpoint}")
-        stored = load_checkpoint(args.checkpoint, model)
+        try:
+            stored = load_checkpoint(args.checkpoint, model)
+        except (ValueError, KeyError, TypeError, ModelError) as exc:
+            raise UsageError(f"checkpoint {args.checkpoint} is not a "
+                             f"checkpoint of this model: {exc!r}") from exc
         expected = harness.config_hash(cfg)
         if stored != expected:
             raise UsageError(

@@ -81,6 +81,10 @@ class SemSpec:
             raise DataError("sigma must be positive")
         if self.tasks < 1 or self.d_factor < 1:
             raise DataError("need at least one task and one factor dimension")
+        for name in ("n_train", "n_valid", "n_test"):
+            if getattr(self, name) < 2:
+                raise DataError(f"{name}={getattr(self, name)} too small for "
+                                "balanced sampling; need at least 2")
 
     @property
     def input_dim(self) -> int:
@@ -199,6 +203,8 @@ class MnistPairSpec:
             raise DataError("ratios must be three positive numbers")
         if self.variant not in ("benchmark", "analysis"):
             raise DataError(f"unknown variant '{self.variant}'")
+        if self.pairs_per_class_pair < 1:
+            raise DataError("pairs_per_class_pair must be at least 1")
 
 
 def partition_pairs(spec: MnistPairSpec):

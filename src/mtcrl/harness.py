@@ -14,7 +14,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -76,6 +76,10 @@ class TrainConfig:
         if self.rho_spur_split not in RHO_SPUR_SPLITS:
             raise HarnessError(f"rho_spur_split must be one of {RHO_SPUR_SPLITS}"
                                f", got '{self.rho_spur_split}'")
+        if (self.mode == "mtcrl" and self.batch_size == 1
+                and self.weights.lambda_decor > 0):
+            raise HarnessError("batch_size 1 gives one-row minibatches, but "
+                               "decorrelation (lambda_decor > 0) needs >= 2 rows")
 
 
 # ---------------------------------------------------------------------------
@@ -83,53 +87,35 @@ class TrainConfig:
 
 
 def config_to_dict(cfg: TrainConfig) -> dict:
-    if isinstance(cfg.dataset, SemSpec):
-        ds = {"kind": "multisem", **cfg.dataset.__dict__}
-    else:
-        ds = {"kind": "multimnist", **cfg.dataset.__dict__}
-        ds["ratios"] = list(ds["ratios"])
-    return {
-        "dataset": ds,
-        "mode": cfg.mode,
-        "k_modules": cfg.k_modules,
-        "total_module_dim": cfg.total_module_dim,
-        "encoder_hidden": list(cfg.encoder_hidden),
-        "encoder_activation": cfg.encoder_activation,
-        "head_hidden": list(cfg.head_hidden),
-        "weights": dict(cfg.weights.__dict__),
-        "optimizer": cfg.optimizer,
-        "learning_rate": cfg.learning_rate,
-        "betas": list(cfg.betas),
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "patience": cfg.patience,
-        "seed": cfg.seed,
-        "stl_module_dim": cfg.stl_module_dim,
-        "rho_spur_split": cfg.rho_spur_split,
-    }
+    """The JSON form of ``cfg``: its fields, tuples as lists, plus the
+    dataset ``kind``."""
+    d = json.loads(json.dumps(asdict(cfg)))
+    kind = "multisem" if isinstance(cfg.dataset, SemSpec) else "multimnist"
+    d["dataset"] = {"kind": kind, **d["dataset"]}
+    return d
+
+
+def _tuples(d: dict) -> dict:
+    """``d`` with its JSON lists turned back into tuples."""
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
 
 
 def dataset_from_dict(d: dict) -> SemSpec | MnistPairSpec:
     """Dataset spec from its JSON form; ``kind`` defaults to ``multisem``."""
-    d = dict(d)
+    d = _tuples(d)
     kind = d.pop("kind", "multisem")
     if kind == "multisem":
         return SemSpec(**d)
     if kind == "multimnist":
-        if "ratios" in d:
-            d["ratios"] = tuple(d["ratios"])
         return MnistPairSpec(**d)
     raise HarnessError(f"unknown dataset kind '{kind}'")
 
 
 def config_from_dict(d: dict) -> TrainConfig:
-    d = dict(d)
+    d = _tuples(d)
     dataset = dataset_from_dict(d.pop("dataset", {}))
     if "weights" in d:
         d["weights"] = PenaltyWeights(**d["weights"])
-    for key in ("encoder_hidden", "head_hidden", "betas"):
-        if key in d:
-            d[key] = tuple(d[key])
     known = set(TrainConfig.__dataclass_fields__)
     unknown = set(d) - known
     if unknown:
@@ -190,8 +176,9 @@ def step_gradients(model: MtlModel, train_batch, env_batches,
                    weights: PenaltyWeights, tape: T.Tape | None = None):
     """Per-parameter gradients of ``loss + lambda_girm * penalty`` from one
     backward pass, plus loss-part metrics."""
-    assert train_batch.env_id == "train", \
-        "task risks must come from the training environment only"
+    if train_batch.env_id != "train":
+        raise HarnessError("task risks must come from the training "
+                           f"environment only, got '{train_batch.env_id}'")
     tape = tape or T.Tape()
     tape.reset()
     binding = TapeBinding(tape)
@@ -227,8 +214,8 @@ def step_gradients(model: MtlModel, train_batch, env_batches,
         objective = T.add(loss, T.scale(penalty, weights.lambda_girm))
 
     params = model.parameters()
-    gm = T.grad(objective, binding.leaves_for(params))
-    return {p.name: gm.get(binding.leaf(p)).data for p in params}, parts
+    grads = T.grad(objective, binding.leaves_for(params))
+    return {p.name: g.data for p, g in zip(params, grads)}, parts
 
 
 def train_step(model: MtlModel, train_batch, env_batches,
@@ -361,8 +348,11 @@ def _fit(model, train_batch, env_batches, weights, cfg, stream_key):
     for _ in range(cfg.epochs):
         if cfg.batch_size and cfg.batch_size < train_batch.n_samples:
             order = rng.permutation(train_batch.n_samples)
-            for lo in range(0, order.size, cfg.batch_size):
-                idx = order[lo: lo + cfg.batch_size]
+            starts = list(range(0, order.size, cfg.batch_size))
+            if cfg.batch_size > 1 and order.size - starts[-1] == 1:
+                starts.pop()  # decorrelation needs two rows: fold the tail
+            for lo, hi in zip(starts, starts[1:] + [order.size]):
+                idx = order[lo:hi]
                 mini = EnvironmentBatch(
                     "train", train_batch.inputs[idx],
                     {t: train_batch.labels[t][idx] for t in train_batch.labels},
@@ -386,15 +376,15 @@ def _fit(model, train_batch, env_batches, weights, cfg, stream_key):
     return train_curve, valid_curve, epochs_run
 
 
-def train(cfg: TrainConfig, return_model: bool = False):
+def train(cfg: TrainConfig):
     """Run one experiment to completion.
 
     STL fits one single-module model per task; the other modes fit one
     model for all tasks.  Either way each fit fills its tasks' columns of
     one report.  The report is reproducible bit for bit from
     ``(config, seed)`` at a fixed BLAS thread count; the thread count can
-    change the last digit of a reduction.  With ``return_model=True``
-    returns ``(report, models)``, the models in fit order.
+    change the last digit of a reduction.  Returns ``(report, models)``,
+    the models in fit order.
     """
     t0 = time.perf_counter()
     train_b, valid_b, test_b, tasks, kinds, head_out = _dataset_bundle(cfg)
@@ -442,27 +432,25 @@ def train(cfg: TrainConfig, return_model: bool = False):
         similarity=task_similarity(np.array(cols["routing"])).matrix.tolist(),
         wall_clock_s=time.perf_counter() - t0,
     )
-    if return_model:
-        return report, [fit[0] for fit in fits]
-    return report
+    return report, [fit[0] for fit in fits]
 
 
 # ---------------------------------------------------------------------------
 # experiment drivers
 
 
-def _train_dict(cfg_dict: dict) -> dict:
-    return train(config_from_dict(cfg_dict)).to_dict()
+def _report_dict(cfg: TrainConfig) -> dict:
+    return train(cfg)[0].to_dict()
 
 
 def run_configs(configs) -> list[dict]:
     """Train each config; fans out over MTCRL_WORKERS processes if set."""
-    dicts = [config_to_dict(c) for c in configs]
+    configs = list(configs)
     workers = int(os.environ.get("MTCRL_WORKERS", "1"))
-    if workers > 1 and len(dicts) > 1:
+    if workers > 1 and len(configs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_train_dict, dicts))
-    return [_train_dict(d) for d in dicts]
+            return list(pool.map(_report_dict, configs))
+    return [_report_dict(c) for c in configs]
 
 
 def run_table2(base: TrainConfig, datasets) -> dict:

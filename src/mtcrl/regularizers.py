@@ -179,8 +179,9 @@ def environment_gradients(model: MtlModel, binding: TapeBinding, env_batches,
                                  detach_heads=True)
             rows[t, batch.env_id] = row
             total = risk if total is None else T.add(total, risk)
-    gm = T.grad(total, list(rows.values()), create_graph=True)
-    return {t: {e: gm.get(row) for (u, e), row in rows.items() if u == t}
+    grads = dict(zip(rows, T.grad(total, list(rows.values()),
+                                  create_graph=True)))
+    return {t: {e: g for (u, e), g in grads.items() if u == t}
             for t in range(model.tasks)}
 
 
@@ -223,9 +224,8 @@ def irm_baseline_penalty(model: MtlModel, binding: TapeBinding,
             row = T.narrow(a, 0, t, 1)
             risk = env_task_risk(model, binding, batch, t, z=z, a_row=row)
             head_leaves = binding.leaves_for(model.heads[t].parameters())
-            gm = T.grad(risk, [row, *head_leaves], create_graph=True)
-            for target in (row, *head_leaves):
-                term = T.l2_norm_sq(gm.get(target))
+            for g in T.grad(risk, [row, *head_leaves], create_graph=True):
+                term = T.l2_norm_sq(g)
                 total = term if total is None else T.add(total, term)
     return total
 

@@ -410,12 +410,8 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _lift(a)
-    if axis is None:
-        count = a.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = int(np.prod([a.shape[ax % a.data.ndim] for ax in axes]))
-    return scale(sum_(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    total = sum_(a, axis=axis, keepdims=keepdims)
+    return scale(total, total.size / a.size)
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
@@ -500,23 +496,6 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
 # reverse pass
 
 
-class GradMap:
-    """Gradients keyed by parameter node id, one entry per requested tensor.
-
-    Every requested tensor gets an entry; tensors unreachable from the
-    differentiated output (or explicitly detached) map to zero tensors of
-    matching shape.
-    """
-
-    def __init__(self, by_id: dict[int, Tensor]):
-        self.by_id = by_id
-
-    def get(self, tensor: Tensor) -> Tensor:
-        if tensor.node is None:
-            raise NotOnTapeError("tensor is a constant; it has no gradient entry")
-        return self.by_id[tensor.node.nid]
-
-
 def _active_nodes(tape: Tape, output_nid: int, wrt_ids: set) -> tuple:
     """Nodes up to ``output_nid`` that are ``wrt`` tensors or have an active
     parent, as (nodes in tape order, set of their ids)."""
@@ -532,8 +511,9 @@ def _active_nodes(tape: Tape, output_nid: int, wrt_ids: set) -> tuple:
 
 
 def grad(output: Tensor, wrt, create_graph: bool = False,
-         detached=()) -> GradMap:
-    """Reverse-mode derivatives of a scalar ``output`` w.r.t. ``wrt`` tensors.
+         detached=()) -> list[Tensor]:
+    """Reverse-mode derivatives of a scalar ``output`` w.r.t. ``wrt`` tensors,
+    one per ``wrt`` entry in its order.
 
     Only active nodes are visited: those that are ``wrt`` tensors or depend
     on one.  Each backward rule is told which of its parents are active
@@ -543,8 +523,9 @@ def grad(output: Tensor, wrt, create_graph: bool = False,
 
     With ``create_graph=True`` the returned gradients are themselves on the
     tape, so a second call differentiates through them.  Tensors listed in
-    ``detached`` get exactly-zero entries; gradients still flow through
-    them to other requested tensors.
+    ``detached``, and tensors the output does not depend on, get zero
+    tensors of matching shape; gradients still flow through detached
+    tensors to other requested tensors.
     """
     if output.node is None:
         raise NotOnTapeError("output is not on a tape")
@@ -589,10 +570,9 @@ def grad(output: Tensor, wrt, create_graph: bool = False,
                 else:
                     grads[pid] = pg
 
-    return GradMap({
-        t.node.nid: grads[t.node.nid] if t.node.nid in grads
-        and t.node.nid not in detached_ids else Tensor(np.zeros(t.shape))
-        for t in wrt})
+    return [grads[t.node.nid] if t.node.nid in grads
+            and t.node.nid not in detached_ids else Tensor(np.zeros(t.shape))
+            for t in wrt]
 
 
 # ---------------------------------------------------------------------------
@@ -628,10 +608,9 @@ def finite_diff_check(f, params, step: float = 1e-5, order: int = 1) -> float:
         if not np.all(np.isfinite(out.data)):
             raise NonFiniteError("objective evaluated to a non-finite value")
         if order == 2:
-            gm = grad(out, leaves, create_graph=True)
             pen = None
-            for leaf in leaves:
-                term = l2_norm_sq(gm.get(leaf))
+            for g in grad(out, leaves, create_graph=True):
+                term = l2_norm_sq(g)
                 pen = term if pen is None else add(pen, term)
             out = pen
         return leaves, out
@@ -643,8 +622,7 @@ def finite_diff_check(f, params, step: float = 1e-5, order: int = 1) -> float:
         # has derivative exactly zero
         analytic = [np.zeros_like(v) for v in base]
     else:
-        amap = grad(out, leaves)
-        analytic = [amap.get(leaf).data for leaf in leaves]
+        analytic = [g.data for g in grad(out, leaves)]
 
     worst = 0.0
     for i, arr in enumerate(base):

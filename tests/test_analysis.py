@@ -221,11 +221,8 @@ class TestTaskSimilarity:
 class TestExports:
     def test_matrix_csv(self, tmp_path):
         path = tmp_path / "m.csv"
-        write_matrix_csv(path, np.array([[1.0, 2.0]]), row_labels=["r0"],
-                         col_labels=["a", "b"])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == ",a,b"
-        assert lines[1].startswith("r0,")
+        write_matrix_csv(path, np.array([[1.0, 2.0]]), row_labels=["r0"])
+        assert path.read_text().splitlines() == ["r0,1.0,2.0"]
 
     def test_svg_heatmap(self, tmp_path):
         path = tmp_path / "h.svg"

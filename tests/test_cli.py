@@ -84,6 +84,12 @@ class TestUsageErrors:
         ("table2", {"base": {"mode": "stl", "k_modules": 3}}),
         ("sweep-tasks", {"base": {"mode": "stl", "k_modules": 3}}),
         ("ablate", {"base": {"mode": "stl", "k_modules": 3}}),
+        ("train", quick_config_dict(mode="mtcrl", batch_size=1)),
+        *[("train", {"dataset": {split: 1}})
+          for split in ("n_train", "n_valid", "n_test")],
+        *[("gen-data", {"kind": "multimnist", "pairs_per_class_pair": n})
+          for n in (0, -1)],
+        ("ablate", {"base": {"mode": "mtl-vanilla", "batch_size": 1}}),
     ])
     def test_bad_driver_config_exits_two(self, command, payload, tmp_path,
                                          capsys):
@@ -122,14 +128,13 @@ class TestUsageErrors:
 
 class TestFailedRun:
     def test_diagnostic_json_and_exit_one(self, tmp_path, capsys):
-        payload = quick_config_dict()
-        payload["dataset"]["n_train"] = 1  # too small for balanced labels
+        # the first Adam step moves every weight by ~1e300: training diverges
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(quick_config_dict(learning_rate=1e300)))
         out = tmp_path / "out"
         assert main(["train", "--config", str(path), "--out", str(out)]) == 1
         diag = json.loads((out / "diagnostic.json").read_text())
-        assert "balanced" in diag["error"]
+        assert "non-finite" in diag["error"]
 
 
 class TestTrainCommand:
@@ -229,6 +234,13 @@ class TestOracleCheckCommand:
         assert lines[0] == "check,max_err,tol,passed"
         assert len(lines) >= 7
 
+    @pytest.mark.parametrize("seeds", ["0", "-5"])
+    def test_fewer_than_one_seed_exits_two(self, seeds, tmp_path, capsys):
+        out = tmp_path / "oc"
+        assert main(["oracle-check", "--seeds", seeds, "--out", str(out)]) == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAnalyzeCommand:
     def test_full_diagnostic_outputs(self, config_file, tmp_path):
@@ -274,6 +286,21 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--config", config_file,
                      "--checkpoint", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("text", [
+        "not json",
+        json.dumps({"config_hash": "x"}),
+        json.dumps({"arrays": {}}),
+    ])
+    def test_bad_checkpoint_exits_two(self, text, config_file, tmp_path,
+                                      capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert main(["analyze", "--config", config_file,
+                     "--checkpoint", str(path), "--out", str(out)]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (out / "diagnostic.json").exists()
 
     def test_checkpoint_from_other_config_rejected(self, config_file, tmp_path,
                                                    capsys):

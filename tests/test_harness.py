@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mtcrl import harness
 from mtcrl import tensor as T
 from mtcrl.data import EnvironmentBatch, SemSpec
 from mtcrl.harness import (ABLATION_VARIANTS, Adam, HarnessError, Sgd,
@@ -151,8 +157,8 @@ class TestTrainStep:
         grads, parts = step_gradients(model, train_b, [train_b, valid_b],
                                       weights)
         assert (parts["loss"], parts["girm"]) == (loss.item(), penalty.item())
-        for p, leaf in zip(model.parameters(), leaves):
-            ref = main.get(leaf).data + weights.lambda_girm * pen.get(leaf).data
+        for p, g_main, g_pen in zip(model.parameters(), main, pen):
+            ref = g_main.data + weights.lambda_girm * g_pen.data
             err = np.linalg.norm(grads[p.name] - ref)
             assert err <= 1e-12 * np.linalg.norm(ref), p.name
 
@@ -219,9 +225,39 @@ class TestTrainStep:
     def test_non_train_batch_rejected(self):
         model = tiny_model(seed=4)
         batches = tiny_batches(seed=4)
-        with pytest.raises(AssertionError):
+        with pytest.raises(HarnessError, match="training environment"):
             step_gradients(model, batches[1], batches,
                            PenaltyWeights(0, 0, 0, 0, "none"))
+
+    def test_non_train_batch_rejected_under_python_O(self):
+        # ``python -O`` strips asserts; the check must survive it
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from mtcrl.data import EnvironmentBatch
+            from mtcrl.harness import HarnessError, step_gradients
+            from mtcrl.model import MtlModel
+            from mtcrl.regularizers import PenaltyWeights
+            assert False, "asserts are live"
+            model = MtlModel(tasks=1, k=2, input_dim=2, total_dim=2,
+                             encoder_hidden=(), encoder_activation="tanh",
+                             head_hidden=(), head_out_dims=[1],
+                             loss_kinds=["mse"], rng=np.random.default_rng(0))
+            batch = EnvironmentBatch("valid", np.ones((3, 2)),
+                                     {0: np.ones(3)}, {0: np.ones(2, bool)})
+            try:
+                step_gradients(model, batch, [batch],
+                               PenaltyWeights(0, 0, 0, 0, "none"))
+            except HarnessError:
+                sys.exit(0)
+            sys.exit(1)
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     def test_tape_does_not_grow_with_module_count(self, monkeypatch):
         # one encoding per batch and two gradient calls: all inner routing
@@ -268,7 +304,7 @@ class TestTrainStep:
 
 class TestTrain:
     def test_zero_epochs_reports_initial_state(self):
-        rep = train(quick_config(epochs=0))
+        rep, _ = train(quick_config(epochs=0))
         assert rep.epochs_run == [0]
         assert rep.train_risk_curve == [[], []]
         assert len(rep.acc_val) == 2
@@ -276,17 +312,17 @@ class TestTrain:
     def test_deterministic_reports(self):
         cfg = quick_config(mode="mtcrl", epochs=3,
                            weights=PenaltyWeights(0.5, 0.01, 0.1, 5.0, "var"))
-        a = train(cfg).json(include_wall_clock=False)
-        b = train(cfg).json(include_wall_clock=False)
+        a = train(cfg)[0].json(include_wall_clock=False)
+        b = train(cfg)[0].json(include_wall_clock=False)
         assert a == b
 
     def test_seed_changes_report(self):
-        a = train(quick_config(seed=0)).json(include_wall_clock=False)
-        b = train(quick_config(seed=1)).json(include_wall_clock=False)
+        a = train(quick_config(seed=0))[0].json(include_wall_clock=False)
+        b = train(quick_config(seed=1))[0].json(include_wall_clock=False)
         assert a != b
 
     def test_stl_mode_trains_independent_models(self):
-        rep, models = train(quick_config(mode="stl"), return_model=True)
+        rep, models = train(quick_config(mode="stl"))
         assert len(models) == 2
         assert all(m.tasks == 1 and m.k == 1 for m in models)
         assert len(rep.acc_val) == 2
@@ -297,7 +333,7 @@ class TestTrain:
         cfg = quick_config(mode=mode, dataset=replace(QUICK_SPEC, tasks=3),
                            epochs=3,
                            weights=PenaltyWeights(0.5, 0.01, 0.1, 5.0, "var"))
-        rep = train(cfg)
+        rep, _ = train(cfg)
         for key in ("acc_train", "acc_val", "acc_test", "risk_test",
                     "rho_spur", "saliency"):
             assert len(getattr(rep, key)) == 3, key
@@ -314,19 +350,39 @@ class TestTrain:
         assert np.array(rep.similarity).shape == (3, 3)
 
     def test_minibatch_mode_runs(self):
-        rep = train(quick_config(batch_size=32, epochs=2))
+        rep, _ = train(quick_config(batch_size=32, epochs=2))
         assert rep.epochs_run == [2]
+
+    def test_one_row_tail_joins_the_minibatch_before_it(self, monkeypatch):
+        # 120 = 17 * 7 + 1; decorrelation would fail on a one-row batch
+        sizes, step = [], harness.train_step
+
+        def counted(model, batch, *args, **kwargs):
+            sizes.append(batch.n_samples)
+            return step(model, batch, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "train_step", counted)
+        rep, _ = train(quick_config(mode="mtcrl", batch_size=7, epochs=1))
+        assert rep.epochs_run == [1]
+        assert sizes == [7] * 16 + [8]
+
+    def test_batch_size_one_rejected_with_decorrelation(self):
+        with pytest.raises(HarnessError, match="batch_size 1"):
+            quick_config(mode="mtcrl", batch_size=1)
+        quick_config(mode="mtcrl", batch_size=1,
+                     weights=PenaltyWeights(0.0, 0.01, 0.1, 5.0, "var"))
+        quick_config(mode="mtl-vanilla", batch_size=1)
 
     def test_plateau_early_stop(self):
         cfg = quick_config(epochs=60, learning_rate=0.0, patience=3)
-        rep = train(cfg)
+        rep, _ = train(cfg)
         assert rep.epochs_run[0] <= 5  # zero lr: immediate plateau
 
     def test_irm_baseline_variant_trains(self):
         cfg = quick_config(mode="mtcrl", epochs=2,
                            weights=PenaltyWeights(0.1, 0.01, 0.1, 1.0,
                                                   "irm-baseline"))
-        rep = train(cfg)
+        rep, _ = train(cfg)
         assert rep.epochs_run == [2]
 
 
@@ -382,7 +438,7 @@ class TestMultiMnistEndToEnd:
                           encoder_activation="relu", epochs=3,
                           learning_rate=1e-2, seed=0,
                           weights=PenaltyWeights(0.5, 0.01, 0.1, 5.0, "var"))
-        rep = train(cfg)
+        rep, _ = train(cfg)
         assert rep.epochs_run == [3]
         assert len(rep.acc_val) == 2
         assert all(0.0 <= a <= 1.0 for a in rep.acc_val)
@@ -411,7 +467,7 @@ class TestExperiments:
     def test_sweep_single_point_equals_plain_run(self):
         base = quick_config()
         sweep = run_task_sweep([2], base)
-        rep = train(base)
+        rep, _ = train(base)
         row = sweep["rows"][0]
         assert row["mtl_acc_val"] == pytest.approx(
             float(np.mean(rep.acc_val)), abs=0)
@@ -428,7 +484,7 @@ class TestExperiments:
         res2 = run_ablation(base, seeds=(0,), variants=("full", "no-girm"))
         assert res["rows"] == res2["rows"]
         full = next(r for r in res["rows"] if r["variant"] == "full")
-        direct = train(base)
+        direct, _ = train(base)
         assert full["per_seed"][0] == pytest.approx(
             float(np.mean(direct.acc_val)), abs=0)
 
@@ -445,8 +501,8 @@ class TestExperiments:
                             weights=PenaltyWeights(0.5, 0.01, 0.1, 5.0, "var"))
         vanilla = PenaltyWeights(**{**base.weights.__dict__,
                                     **ABLATION_VARIANTS["vanilla"]})
-        reports = [train(replace(base, weights=vanilla)).to_dict(),
-                   train(replace(base, mode="mtl-vanilla")).to_dict()]
+        reports = [train(replace(base, weights=vanilla))[0].to_dict(),
+                   train(replace(base, mode="mtl-vanilla"))[0].to_dict()]
         for rep in reports:
             for key in ("config", "config_hash", "mode", "wall_clock_s"):
                 del rep[key]
@@ -458,7 +514,7 @@ class TestExperiments:
         res = run_ablation(base, seeds=(0, 1), variants=("vanilla", "full"))
         assert set(res["orderings"]) == {"full_beats_vanilla"}
         vanilla = res["rows"][0]
-        direct = [train(replace(base, mode="mtl-vanilla", seed=s))
+        direct = [train(replace(base, mode="mtl-vanilla", seed=s))[0]
                   for s in (0, 1)]
         assert vanilla["rho_spur_mean"] == pytest.approx(
             np.mean([np.mean(r.rho_spur) for r in direct]), abs=0)

@@ -117,7 +117,7 @@ class TestRoute:
         np.testing.assert_allclose(out.data, ref, rtol=0,
                                    atol=1e-15 * np.abs(ref).max())
         # d/da_i of sum(out * g) is sum(z_i * g)
-        got = T.grad(T.sum_(T.multiply(out, T.Tensor(g))), [row]).get(row)
+        got, = T.grad(T.sum_(T.multiply(out, T.Tensor(g))), [row])
         expected = [np.sum(b * g) for b in blocks]
         np.testing.assert_allclose(got.data[0], expected, rtol=1e-13)
 
@@ -244,7 +244,7 @@ class TestPredict:
         pred = model.predict(binding, 0, x=x)
         loss = T.mean(T.square(pred))
         theta_leaf = binding.leaf(model.routing.theta)
-        g = T.grad(loss, [theta_leaf]).get(theta_leaf)
+        g, = T.grad(loss, [theta_leaf])
         assert np.any(g.data[0] != 0.0)
 
 
