@@ -23,6 +23,7 @@ class UndefinedScoreError(AnalysisError):
     pass
 
 
+@np.errstate(all="ignore")  # the output is checked
 def factor_gradient(model: MtlModel, t: int, batch) -> np.ndarray:
     """Summed absolute input-gradients of the true-class score over a batch.
 
@@ -42,6 +43,7 @@ def factor_gradient(model: MtlModel, t: int, batch) -> np.ndarray:
     else:
         score = T.sum_(out)
     g, = T.grad(score, [x])
+    T.check_finite(g, f"the input gradient of task {t}")
     return np.abs(g.data).sum(axis=0)
 
 
@@ -74,6 +76,7 @@ class CorrHeatmap:
         return float(np.abs(self.matrix[cross]).max()) if cross.any() else 0.0
 
 
+@np.errstate(all="ignore")  # the output is checked
 def module_corr_heatmap(model: MtlModel, batch) -> CorrHeatmap:
     """Full correlation matrix over all module output dimensions."""
     if batch.n_samples < 2:
@@ -81,6 +84,7 @@ def module_corr_heatmap(model: MtlModel, batch) -> CorrHeatmap:
     tape = T.Tape()
     binding = TapeBinding(tape)
     rho = module_correlation(model.encode(binding, batch.inputs))
+    T.check_finite(rho, "the module correlations")
     dim = model.bank.module_dim
     return CorrHeatmap(rho.data.copy(),
                        tuple(i * dim for i in range(model.k)))
@@ -93,6 +97,7 @@ class TaskModuleGradients:
     diff_envs: tuple            # (subtrahend, minuend) env ids
 
 
+@np.errstate(all="ignore")  # the output is checked
 def task_module_gradients(model: MtlModel, env_batches) -> TaskModuleGradients:
     """Routing-gradient tables per environment plus a (valid - train) table.
 
@@ -117,6 +122,8 @@ def task_module_gradients(model: MtlModel, env_batches) -> TaskModuleGradients:
     grads = iter(T.grad(total, [row for env in rows.values() for row in env]))
     per_env = {e: np.vstack([next(grads).data for _ in env])
                for e, env in rows.items()}
+    for e, table in per_env.items():
+        T.check_finite(table, f"the routing gradients on '{e}'")
     if "train" in per_env and "valid" in per_env:
         pair = ("train", "valid")
     else:

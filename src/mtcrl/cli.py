@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, harness, oracles
+from . import tensor as T
 from .data import (SemSpec, gen_multisem, compose_multimnist, write_batch_csv,
                    write_container)
 from .model import ModelError, load_checkpoint, save_checkpoint
@@ -352,6 +353,8 @@ def main(argv=None) -> int:
             "type": type(exc).__name__,
             "traceback": traceback.format_exc(),
         }
+        if isinstance(exc, T.NonFiniteError):
+            diag.update(exc.fields())
         try:
             out = _out_dir(args)
             (out / "diagnostic.json").write_text(json.dumps(diag, indent=1))

@@ -15,6 +15,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -172,10 +173,15 @@ def make_optimizer(cfg: TrainConfig):
 # one training step
 
 
+@np.errstate(all="ignore")  # values are checked where they leave the step
 def step_gradients(model: MtlModel, train_batch, env_batches,
                    weights: PenaltyWeights, tape: T.Tape | None = None):
     """Per-parameter gradients of ``loss + lambda_girm * penalty`` from one
-    backward pass, plus loss-part metrics."""
+    backward pass, plus loss-part metrics.
+
+    The loss, the penalty and every gradient are checked for finiteness,
+    so a non-finite step raises :class:`T.NonFiniteError` before any
+    optimizer sees its gradients."""
     if train_batch.env_id != "train":
         raise HarnessError("task risks must come from the training "
                            f"environment only, got '{train_batch.env_id}'")
@@ -201,8 +207,7 @@ def step_gradients(model: MtlModel, train_batch, env_batches,
         graph = graph_reg_loss(a, weights.lambda_sps, weights.lambda_bal)
         parts["graph"] = float(graph.data)
         loss = T.add(loss, graph)
-    if not np.isfinite(loss.data):
-        raise HarnessError("non-finite training loss")
+    T.check_finite(loss, "the training loss")
     parts["loss"] = float(loss.data)
 
     objective = loss
@@ -210,11 +215,14 @@ def step_gradients(model: MtlModel, train_batch, env_batches,
         penalty = girm_penalty(model, binding, env_batches,
                                weights.girm_variant,
                                encoded=[(train_batch, z)])
+        T.check_finite(penalty, "the girm penalty")
         parts["girm"] = float(penalty.data)
         objective = T.add(loss, T.scale(penalty, weights.lambda_girm))
 
     params = model.parameters()
     grads = T.grad(objective, binding.leaves_for(params))
+    for p, g in zip(params, grads):
+        T.check_finite(g, f"the gradient of {p.name}")
     return {p.name: g.data for p, g in zip(params, grads)}, parts
 
 
@@ -231,11 +239,13 @@ def train_step(model: MtlModel, train_batch, env_batches,
 # evaluation
 
 
+@np.errstate(all="ignore")  # the risks are checked
 def evaluate(model: MtlModel, batch) -> dict:
-    """Risks (by the step's ``task_loss``) and accuracies per task; no nodes
-    are recorded."""
+    """Risks (by the step's ``task_loss``) and accuracies per task.  No
+    nodes are recorded, except under ``T.detect_anomaly()``, so that a
+    replay names ops by node."""
     tape = T.Tape()
-    tape.recording = False
+    tape.recording = T.is_anomaly_enabled()
     binding = TapeBinding(tape)
     z = model.encode(binding, batch.inputs)
     risks, accs = [], []
@@ -249,6 +259,7 @@ def evaluate(model: MtlModel, batch) -> dict:
         else:
             hit = pred.data.argmax(axis=1) == y.astype(np.int64)
         accs.append(float(np.mean(hit)))
+    T.check_finite(np.array(risks), f"the risks on '{batch.env_id}'")
     return {"risks": risks, "accuracy": accs}
 
 
@@ -336,7 +347,46 @@ def effective_weights(cfg: TrainConfig) -> PenaltyWeights:
     return PenaltyWeights(0.0, 0.0, 0.0, 0.0, "none")
 
 
+def _minibatches(batch, batch_size: int, rng):
+    """One epoch's training batches: shuffled minibatches of ``batch``, or
+    ``batch`` itself when ``batch_size`` is 0 or covers it."""
+    if not batch_size or batch_size >= batch.n_samples:
+        yield batch
+        return
+    order = rng.permutation(batch.n_samples)
+    starts = list(range(0, order.size, batch_size))
+    if batch_size > 1 and order.size - starts[-1] == 1:
+        starts.pop()  # decorrelation needs two rows: fold the tail
+    for lo, hi in zip(starts, starts[1:] + [order.size]):
+        idx = order[lo:hi]
+        yield EnvironmentBatch("train", batch.inputs[idx],
+                               {t: y[idx] for t, y in batch.labels.items()},
+                               batch.causal_masks)
+
+
+def _checked(epoch: int, step: int, run, replay=None):
+    """``run()``; when it fails a finiteness check, ``replay`` (default
+    ``run``) runs again under ``T.detect_anomaly()`` to name the op, and the
+    error gains ``epoch`` and ``step``.  ``replay`` must not change state."""
+    try:
+        return run()
+    except T.NonFiniteError as exc:
+        exc.epoch, exc.step = epoch, step
+        try:
+            with T.detect_anomaly():
+                (replay or run)()
+        except T.NonFiniteError as named:
+            named.boundary, named.epoch, named.step = exc.boundary, epoch, step
+            raise named from exc
+        raise
+
+
 def _fit(model, train_batch, env_batches, weights, cfg, stream_key):
+    """Train ``model`` for up to ``cfg.epochs`` epochs with plateau stopping.
+
+    A non-finite step or evaluation raises :class:`T.NonFiniteError` with
+    the epoch and the step (counted from 0 over the fit; an evaluation
+    names the step whose update it evaluates)."""
     opt = make_optimizer(cfg)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stream_key]))
     tape = T.Tape()
@@ -344,25 +394,22 @@ def _fit(model, train_batch, env_batches, weights, cfg, stream_key):
     best = np.inf
     bad = 0
     epochs_run = 0
+    step = 0
     valid_batch = next(b for b in env_batches if b.env_id == "valid")
-    for _ in range(cfg.epochs):
-        if cfg.batch_size and cfg.batch_size < train_batch.n_samples:
-            order = rng.permutation(train_batch.n_samples)
-            starts = list(range(0, order.size, cfg.batch_size))
-            if cfg.batch_size > 1 and order.size - starts[-1] == 1:
-                starts.pop()  # decorrelation needs two rows: fold the tail
-            for lo, hi in zip(starts, starts[1:] + [order.size]):
-                idx = order[lo:hi]
-                mini = EnvironmentBatch(
-                    "train", train_batch.inputs[idx],
-                    {t: train_batch.labels[t][idx] for t in train_batch.labels},
-                    train_batch.causal_masks)
-                train_step(model, mini, env_batches, weights, opt, tape=tape)
-        else:
-            train_step(model, train_batch, env_batches, weights, opt, tape=tape)
+    for epoch in range(cfg.epochs):
+        for batch in _minibatches(train_batch, cfg.batch_size, rng):
+            # the parameters are unchanged when a step fails, so the replay
+            # recomputes the same gradients
+            _checked(epoch, step,
+                     partial(train_step, model, batch, env_batches, weights,
+                             opt, tape=tape),
+                     partial(step_gradients, model, batch, env_batches,
+                             weights, tape=tape))
+            step += 1
         epochs_run += 1
-        train_eval = evaluate(model, train_batch)
-        valid_eval = evaluate(model, valid_batch)
+        train_eval, valid_eval = (
+            _checked(epoch, step - 1, partial(evaluate, model, b))
+            for b in (train_batch, valid_batch))
         train_curve.append(train_eval["risks"])
         valid_curve.append(valid_eval["risks"])
         total = float(sum(train_eval["risks"]))

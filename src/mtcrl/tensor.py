@@ -21,6 +21,12 @@ rule may return ``None`` for the others, so a constant operand (a data
 matrix, a detached head) costs no adjoint product and records no nodes.
 It frees each adjoint once its node's rule has used it, so a backward
 pass holds only the adjoints still waiting to be used.
+
+Ops do not check their outputs for finiteness.  Callers check with
+:func:`check_finite` where values leave a computation (a training step's
+loss, penalty and gradients, evaluation risks, analysis outputs), and
+replay a failing computation under :func:`detect_anomaly`, which checks
+every op and names the first one that produces a non-finite value.
 """
 
 from __future__ import annotations
@@ -44,7 +50,45 @@ class DomainError(TensorError):
 
 
 class NonFiniteError(TensorError):
-    pass
+    """Non-finite values where finiteness is checked.
+
+    ``boundary`` names the checked value (a step's loss, a gradient, ...).
+    Under :func:`detect_anomaly` the error also names the op that produced
+    the values: ``op``, its ``node`` id (``None`` when unrecorded) and
+    ``parent_ops`` (``None`` for a parent that is not on a tape).  For an
+    unrecorded op of a backward pass, ``rule_node`` and ``rule_op`` name
+    the forward node whose backward rule ran it.  The training loop fills
+    ``epoch`` and ``step``.
+    """
+
+    FIELDS = ("boundary", "op", "node", "parent_ops", "rule_node", "rule_op",
+              "epoch", "step")
+
+    def __init__(self, boundary=None, op=None, node=None, parent_ops=()):
+        super().__init__(boundary, op, node, parent_ops)
+        self.boundary, self.op, self.node = boundary, op, node
+        self.parent_ops = tuple(parent_ops)
+        self.rule_node = self.rule_op = self.epoch = self.step = None
+
+    def fields(self) -> dict:
+        return {name: getattr(self, name) for name in self.FIELDS}
+
+    def __str__(self):
+        text = "non-finite values"
+        if self.boundary is not None:
+            text += f" in {self.boundary}"
+        if self.op is not None:
+            node = "unrecorded" if self.node is None else f"node {self.node}"
+            parents = ", ".join("off-tape" if p is None else p
+                                for p in self.parent_ops)
+            text += (f"; first produced by operation '{self.op}' ({node}, "
+                     f"parents: {parents})")
+        if self.rule_node is not None:
+            text += (f" in the backward rule of node {self.rule_node} "
+                     f"('{self.rule_op}')")
+        if self.epoch is not None:
+            text += f" at epoch {self.epoch}, step {self.step}"
+        return text
 
 
 class NonScalarOutputError(TensorError):
@@ -162,26 +206,63 @@ def _tape_of(tensors: Iterable[Tensor]) -> Tape | None:
     return tape
 
 
-def _check_finite(data: np.ndarray, op: str) -> np.ndarray:
+_anomaly = False
+
+
+@contextlib.contextmanager
+def detect_anomaly():
+    """Check every op's output for finiteness inside the block.
+
+    A non-finite output raises :class:`NonFiniteError` naming the op, its
+    node and its parents' ops.  The check costs one pass over every op's
+    output, so it is meant for replaying a computation that failed a
+    :func:`check_finite` boundary, not for normal runs."""
+    global _anomaly
+    prev, _anomaly = _anomaly, True
+    try:
+        yield
+    finally:
+        _anomaly = prev
+
+
+def is_anomaly_enabled() -> bool:
+    return _anomaly
+
+
+def check_finite(value, boundary: str):
+    """Raise :class:`NonFiniteError` naming ``boundary`` unless every entry
+    of ``value`` (a tensor, an array or a number) is finite."""
+    data = value.data if isinstance(value, Tensor) else value
     if not np.isfinite(data).all():
-        raise NonFiniteError(f"operation '{op}' produced non-finite values")
-    return data
+        raise NonFiniteError(boundary)
+
+
+def _check_op(data: np.ndarray, op: str, node: Node | None, parents):
+    """The per-op check of :func:`detect_anomaly`."""
+    if not np.isfinite(data).all():
+        raise NonFiniteError(
+            op=op, node=None if node is None else node.nid,
+            parent_ops=[None if p.node is None else p.node.op
+                        for p in parents])
 
 
 def _make(op: str, data: np.ndarray, parents: Sequence[Tensor],
           vjp: Callable | None) -> Tensor:
-    _check_finite(data, op)
     tape = _tape_of(parents)
-    if tape is None or not tape.recording:
-        return Tensor(data)
-    node = Node(len(tape.nodes), op, tuple(parents), vjp, tape)
-    tape.nodes.append(node)
+    node = None
+    if tape is not None and tape.recording:
+        node = Node(len(tape.nodes), op, tuple(parents), vjp, tape)
+        tape.nodes.append(node)
+    if _anomaly:
+        _check_op(data, op, node, parents)
     return Tensor(data, node)
 
 
-def _broadcast_shape(op, a, b):
+def _broadcasting(ufunc, op, a, b) -> np.ndarray:
+    """``ufunc`` of two tensors' data; shapes that do not broadcast raise
+    :class:`ShapeMismatchError`."""
     try:
-        return np.broadcast_shapes(a.shape, b.shape)
+        return ufunc(a.data, b.data)
     except ValueError:
         raise ShapeMismatchError(
             f"operation '{op}': shapes {a.shape} and {b.shape} do not broadcast"
@@ -211,29 +292,28 @@ def _unbroadcast(g: Tensor, shape: tuple) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    _broadcast_shape("add", a, b)
 
     def vjp(g, needs):
         return (_unbroadcast(g, a.shape) if needs[0] else None,
                 _unbroadcast(g, b.shape) if needs[1] else None)
 
-    return _make("add", a.data + b.data, (a, b), vjp)
+    data = _broadcasting(np.add, "add", a, b)
+    return _make("add", data, (a, b), vjp)
 
 
 def subtract(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    _broadcast_shape("subtract", a, b)
 
     def vjp(g, needs):
         return (_unbroadcast(g, a.shape) if needs[0] else None,
                 _unbroadcast(scale(g, -1.0), b.shape) if needs[1] else None)
 
-    return _make("subtract", a.data - b.data, (a, b), vjp)
+    data = _broadcasting(np.subtract, "subtract", a, b)
+    return _make("subtract", data, (a, b), vjp)
 
 
 def multiply(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    _broadcast_shape("multiply", a, b)
 
     def vjp(g, needs):
         return (
@@ -241,7 +321,8 @@ def multiply(a, b) -> Tensor:
             _unbroadcast(multiply(g, a), b.shape) if needs[1] else None,
         )
 
-    return _make("multiply", a.data * b.data, (a, b), vjp)
+    data = _broadcasting(np.multiply, "multiply", a, b)
+    return _make("multiply", data, (a, b), vjp)
 
 
 def matmul(a, b) -> Tensor:
@@ -560,15 +641,20 @@ def grad(output: Tensor, wrt, create_graph: bool = False,
                           for p in node.parents)
             if not any(needs):
                 continue
-            for parent, need, pg in zip(node.parents, needs,
-                                        node.vjp(g, needs)):
-                if not need:
-                    continue
-                pid = parent.node.nid
-                if pid in grads:
-                    grads[pid] = add(grads[pid], pg)
-                else:
-                    grads[pid] = pg
+            try:
+                for parent, need, pg in zip(node.parents, needs,
+                                            node.vjp(g, needs)):
+                    if not need:
+                        continue
+                    pid = parent.node.nid
+                    if pid in grads:
+                        grads[pid] = add(grads[pid], pg)
+                    else:
+                        grads[pid] = pg
+            except NonFiniteError as exc:
+                if exc.node is None and exc.rule_node is None:
+                    exc.rule_node, exc.rule_op = node.nid, node.op
+                raise
 
     return [grads[t.node.nid] if t.node.nid in grads
             and t.node.nid not in detached_ids else Tensor(np.zeros(t.shape))
@@ -583,6 +669,7 @@ def _rel_err(a: float, n: float) -> float:
     return abs(a - n) / max(1.0, abs(a), abs(n))
 
 
+@np.errstate(all="ignore")  # the objectives and derivatives are checked
 def finite_diff_check(f, params, step: float = 1e-5, order: int = 1) -> float:
     """Max relative error between autodiff and central finite differences.
 
@@ -592,6 +679,9 @@ def finite_diff_check(f, params, step: float = 1e-5, order: int = 1) -> float:
     the gradient of the gradient-norm penalty
     ``sum_p ||d f / d p||^2`` via double backward.  Relative error uses a
     denominator floored at 1 so near-zero derivatives compare absolutely.
+    A non-finite objective (at any point), analytic derivative or finite
+    difference raises :class:`NonFiniteError`, since no error can be
+    measured against it.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -605,14 +695,14 @@ def finite_diff_check(f, params, step: float = 1e-5, order: int = 1) -> float:
         tape = Tape()
         leaves = [tape.leaf(v) for v in values]
         out = f(*leaves)
-        if not np.all(np.isfinite(out.data)):
-            raise NonFiniteError("objective evaluated to a non-finite value")
+        check_finite(out, "the objective")
         if order == 2:
             pen = None
             for g in grad(out, leaves, create_graph=True):
                 term = l2_norm_sq(g)
                 pen = term if pen is None else add(pen, term)
             out = pen
+            check_finite(out, "the gradient-norm penalty")
         return leaves, out
 
     # analytic side
@@ -623,6 +713,8 @@ def finite_diff_check(f, params, step: float = 1e-5, order: int = 1) -> float:
         analytic = [np.zeros_like(v) for v in base]
     else:
         analytic = [g.data for g in grad(out, leaves)]
+        for a in analytic:
+            check_finite(a, "the analytic derivative")
 
     worst = 0.0
     for i, arr in enumerate(base):
@@ -634,5 +726,6 @@ def finite_diff_check(f, params, step: float = 1e-5, order: int = 1) -> float:
             minus[i].reshape(-1)[j] -= step
             numeric = (build(plus)[1].item()
                        - build(minus)[1].item()) / (2 * step)
+            check_finite(numeric, "the finite difference")
             worst = max(worst, _rel_err(float(analytic[i].reshape(-1)[j]), numeric))
     return worst

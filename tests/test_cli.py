@@ -135,6 +135,13 @@ class TestFailedRun:
         assert main(["train", "--config", str(path), "--out", str(out)]) == 1
         diag = json.loads((out / "diagnostic.json").read_text())
         assert "non-finite" in diag["error"]
+        assert diag["type"] == "NonFiniteError"
+        # the replay names the op that first overflowed and where it ran
+        assert diag["boundary"] == "the risks on 'train'"
+        assert diag["op"] == "matmul" and isinstance(diag["node"], int)
+        assert diag["parent_ops"] == ["matmul", "leaf"]
+        assert (diag["epoch"], diag["step"]) == (0, 0)
+        assert "epoch 0, step 0" in diag["error"]
 
 
 class TestTrainCommand:

@@ -297,9 +297,113 @@ class TestTrainStep:
         for p in model.parameters():
             p.value[:] = 1e200
         batches = tiny_batches(seed=5)
-        with pytest.raises((HarnessError, T.NonFiniteError)):
+        with pytest.raises(T.NonFiniteError, match="training loss"):
             step_gradients(model, batches[0], batches,
                            PenaltyWeights(0, 0, 0, 0, "none"))
+
+
+def _state(model, opt):
+    """Copies of the parameters and of the Adam step count and moments."""
+    return ({p.name: p.value.copy() for p in model.parameters()}, opt.t,
+            {k: (m.copy(), v.copy()) for k, (m, v) in opt.state.items()})
+
+
+def _assert_same_state(a, b):
+    params_a, t_a, moments_a = a
+    params_b, t_b, moments_b = b
+    assert t_a == t_b
+    assert params_a.keys() == params_b.keys()
+    for name in params_a:
+        np.testing.assert_array_equal(params_a[name], params_b[name])
+    assert moments_a.keys() == moments_b.keys()
+    for key in moments_a:
+        for x, y in zip(moments_a[key], moments_b[key]):
+            np.testing.assert_array_equal(x, y)
+
+
+class TestFiniteness:
+    def test_per_op_checks_stay_off_the_hot_path(self, monkeypatch):
+        calls = []
+        check = T._check_op
+
+        def counted(*args):
+            calls.append(args[1])
+            return check(*args)
+
+        monkeypatch.setattr(T, "_check_op", counted)
+        model = tiny_model(seed=2)
+        batches = tiny_batches(seed=2)
+        weights = PenaltyWeights(1.0, 0.1, 0.5, 2.0, "var")
+        train_step(model, batches[0], batches, weights, Adam(1e-2))
+        assert calls == []
+        with T.detect_anomaly():
+            train_step(model, batches[0], batches, weights, Adam(1e-2))
+        assert len(calls) > 0
+
+    @pytest.mark.parametrize("variant", ["var", "irm-baseline"])
+    def test_penalty_boundary_names_the_op_and_applies_nothing(
+            self, variant, monkeypatch):
+        # NaN valid inputs make the penalty NaN; the train loss stays finite
+        seen = {}
+
+        def poisoned(model, batch, env_batches, weights, opt, tape=None):
+            seen["calls"] = seen.get("calls", 0) + 1
+            if seen["calls"] == 3:
+                i = [b.env_id for b in env_batches].index("valid")
+                env_batches[i] = replace(
+                    env_batches[i],
+                    inputs=np.full_like(env_batches[i].inputs, np.nan))
+                seen["model"], seen["opt"] = model, opt
+                seen["before"] = _state(model, opt)
+            return train_step(model, batch, env_batches, weights, opt,
+                              tape=tape)
+
+        monkeypatch.setattr(harness, "train_step", poisoned)
+        cfg = quick_config(mode="mtcrl",
+                           weights=PenaltyWeights(0.5, 0.01, 0.1, 1.0, variant))
+        with pytest.raises(T.NonFiniteError) as info:
+            train(cfg)
+        err = info.value
+        assert err.boundary == "the girm penalty"
+        assert err.op == "matmul" and isinstance(err.node, int)
+        assert err.parent_ops == (None, "leaf")
+        assert (err.epoch, err.step) == (2, 2)
+        assert "girm penalty" in str(err) and "epoch 2, step 2" in str(err)
+        after = _state(seen["model"], seen["opt"])
+        assert after[1] == 2
+        _assert_same_state(seen["before"], after)
+
+    def test_nonfinite_gradient_is_never_applied(self):
+        # z ~ 1e210 and head weights ~ 1e-100: the loss (~1e220) is finite,
+        # the head weights' gradient (~1e320) is not
+        model = MtlModel(tasks=2, k=2, input_dim=4, total_dim=4,
+                         encoder_hidden=(), encoder_activation="linear",
+                         head_hidden=(), head_out_dims=[1, 1],
+                         loss_kinds=["mse", "mse"],
+                         rng=np.random.default_rng(4))
+        for p in model.parameters():
+            if p.name == "bank.layer0.weight":
+                p.value[:] *= 1e210
+            elif p.name.endswith("layer0.weight"):
+                p.value[:] *= 1e-100
+        batches = tiny_batches(seed=4)
+        opt = Adam(1e-2)
+        before = _state(model, opt)
+        with pytest.raises(T.NonFiniteError,
+                           match="gradient of head0.layer0.weight"):
+            train_step(model, batches[0], batches,
+                       PenaltyWeights(0, 0, 0, 0, "none"), opt)
+        _assert_same_state(before, _state(model, opt))
+        assert opt.t == 0
+
+    def test_evaluate_failure_names_the_op_epoch_and_step(self):
+        # one Adam step moves every weight by ~1e300; evaluation overflows
+        with pytest.raises(T.NonFiniteError) as info:
+            train(quick_config(learning_rate=1e300))
+        err = info.value
+        assert err.boundary == "the risks on 'train'"
+        assert err.op == "matmul" and isinstance(err.node, int)
+        assert (err.epoch, err.step) == (0, 0)
 
 
 class TestTrain:

@@ -1,4 +1,5 @@
 import gc
+import pickle
 import tracemalloc
 import weakref
 
@@ -33,6 +34,13 @@ class TestForwardValues:
     def test_shape_mismatch_names_op_and_shapes(self):
         with pytest.raises(T.ShapeMismatchError, match="matmul.*2, 3.*4, 5"):
             T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 5))))
+
+    @pytest.mark.parametrize("op", ["add", "subtract", "multiply"])
+    def test_elementwise_shape_mismatch_names_op_and_shapes(self, op):
+        with pytest.raises(T.ShapeMismatchError,
+                           match=rf"'{op}'.*\(2, 3\).*\(4, 5\)"):
+            getattr(T, op)(T.Tensor(np.zeros((2, 3))),
+                           T.Tensor(np.zeros((4, 5))))
 
     def test_log_domain_error(self):
         with pytest.raises(T.DomainError, match="log"):
@@ -279,6 +287,83 @@ class TestFiniteDiffCheck:
 
         with pytest.raises(T.NonFiniteError):
             T.finite_diff_check(f, [np.ones(2)], step=1e-5)
+
+    def test_nonfinite_perturbed_objective_rejected(self):
+        # exp(709) is finite, exp(710) at the plus point is not
+        def f(w):
+            return T.sum_(T.exp(w))
+
+        with pytest.raises(T.NonFiniteError, match="objective"):
+            T.finite_diff_check(f, [np.array([709.0])], step=1.0)
+
+    def test_nonfinite_perturbed_penalty_rejected(self):
+        # the order-2 penalty exp(2w) and its derivative are finite at
+        # w = 354.4; exp(709.8) at the plus point is not, while f is
+        def f(w):
+            return T.sum_(T.exp(w))
+
+        with pytest.raises(T.NonFiniteError, match="penalty"):
+            T.finite_diff_check(f, [np.array([354.4])], step=0.5, order=2)
+
+    def test_nonfinite_analytic_derivative_rejected(self):
+        # log next to 0: log(w) is finite at w and w +- step, 1 / w is not
+        def f(w):
+            return T.sum_(T.log(w))
+
+        with pytest.raises(T.NonFiniteError, match="analytic"):
+            T.finite_diff_check(f, [np.array([1e-310])], step=1e-320)
+
+
+class TestFiniteness:
+    def test_ops_do_not_check_by_default(self):
+        assert np.isinf(T.exp(T.Tensor(1000.0)).item())
+
+    def test_anomaly_mode_names_op_node_and_parents(self):
+        tape, (x,) = scalar_tape(np.array([500.0]))
+        y = T.scale(x, 2.0)
+        with T.detect_anomaly():
+            assert T.is_anomaly_enabled()
+            with pytest.raises(T.NonFiniteError) as info:
+                T.exp(y)
+        assert not T.is_anomaly_enabled()
+        err = info.value
+        assert (err.op, err.node, err.parent_ops) == (
+            "exp", y.node.nid + 1, ("scale",))
+        assert err.rule_node is None and err.boundary is None
+        assert "operation 'exp' (node 2, parents: scale)" in str(err)
+
+    def test_unrecorded_backward_op_names_the_forward_rule(self):
+        # d log(w) / dw = w ** -1 overflows at w = 1e-310
+        tape, (x,) = scalar_tape(np.array([1e-310]))
+        out = T.sum_(T.log(x))
+        log_node = out.node.parents[0].node
+        with T.detect_anomaly(), pytest.raises(T.NonFiniteError) as info:
+            T.grad(out, [x])
+        err = info.value
+        assert (err.op, err.node, err.parent_ops) == ("pow", None, ("leaf",))
+        assert (err.rule_node, err.rule_op) == (log_node.nid, "log")
+        assert f"backward rule of node {log_node.nid} ('log')" in str(err)
+
+    def test_recorded_backward_op_names_its_own_node(self):
+        tape, (x,) = scalar_tape(np.array([1e-310]))
+        out = T.sum_(T.log(x))
+        with T.detect_anomaly(), pytest.raises(T.NonFiniteError) as info:
+            T.grad(out, [x], create_graph=True)
+        assert info.value.op == "pow" and isinstance(info.value.node, int)
+        assert info.value.rule_node is None
+
+    def test_check_finite_names_the_boundary(self):
+        T.check_finite(np.ones(3), "ones")
+        with pytest.raises(T.NonFiniteError, match="in the loss") as info:
+            T.check_finite(T.Tensor([1.0, np.nan]), "the loss")
+        assert info.value.fields()["boundary"] == "the loss"
+
+    def test_error_fields_survive_pickling(self):
+        err = T.NonFiniteError("the loss", op="matmul", node=3,
+                               parent_ops=("leaf", None))
+        err.epoch, err.step = 4, 9
+        back = pickle.loads(pickle.dumps(err))
+        assert back.fields() == err.fields() and str(back) == str(err)
 
 
 def _op_cases(rng):
