@@ -177,11 +177,13 @@ def make_optimizer(cfg: TrainConfig):
 def step_gradients(model: MtlModel, train_batch, env_batches,
                    weights: PenaltyWeights, tape: T.Tape | None = None):
     """Per-parameter gradients of ``loss + lambda_girm * penalty`` from one
-    backward pass, plus loss-part metrics.
+    backward pass, plus loss-part metrics.  With the penalty on,
+    ``parts["valid_risks"]`` holds the valid environment's task risks,
+    which the penalty builds.
 
-    The loss, the penalty and every gradient are checked for finiteness,
-    so a non-finite step raises :class:`T.NonFiniteError` before any
-    optimizer sees its gradients."""
+    The loss, the penalty, the valid risks and every gradient are checked
+    for finiteness, so a non-finite step raises :class:`T.NonFiniteError`
+    before any optimizer sees its gradients."""
     if train_batch.env_id != "train":
         raise HarnessError("task risks must come from the training "
                            f"environment only, got '{train_batch.env_id}'")
@@ -212,11 +214,16 @@ def step_gradients(model: MtlModel, train_batch, env_batches,
 
     objective = loss
     if weights.girm_variant != "none" and weights.lambda_girm > 0:
+        env_risks = {}
         penalty = girm_penalty(model, binding, env_batches,
                                weights.girm_variant,
-                               encoded=[(train_batch, z)])
+                               encoded=[(train_batch, z)], risks=env_risks)
         T.check_finite(penalty, "the girm penalty")
         parts["girm"] = float(penalty.data)
+        if "valid" in env_risks:
+            # an infinite risk can leave the penalty finite
+            T.check_finite(np.array(env_risks["valid"]), "the risks on 'valid'")
+            parts["valid_risks"] = env_risks["valid"]
         objective = T.add(loss, T.scale(penalty, weights.lambda_girm))
 
     params = model.parameters()
@@ -364,7 +371,7 @@ def _minibatches(batch, batch_size: int, rng):
                                batch.causal_masks)
 
 
-def _checked(epoch: int, step: int, run, replay=None):
+def _checked(epoch: int | None, step: int | None, run, replay=None):
     """``run()``; when it fails a finiteness check, ``replay`` (default
     ``run``) runs again under ``T.detect_anomaly()`` to name the op, and the
     error gains ``epoch`` and ``step``.  ``replay`` must not change state."""
@@ -384,43 +391,78 @@ def _checked(epoch: int, step: int, run, replay=None):
 def _fit(model, train_batch, env_batches, weights, cfg, stream_key):
     """Train ``model`` for up to ``cfg.epochs`` epochs with plateau stopping.
 
-    A non-finite step or evaluation raises :class:`T.NonFiniteError` with
-    the epoch and the step (counted from 0 over the fit; an evaluation
-    names the step whose update it evaluates)."""
+    Epoch e's curve entry holds the train and valid risks of the
+    parameters its last step left.  In full-batch training, step e + 1's
+    forward pass runs at those parameters: its task risks are the train
+    risks, and a girm penalty builds the valid risks.  So ``evaluate`` runs
+    only where no later step stands in: at the last epoch, after every
+    minibatch epoch, on the valid split when the step has no penalty, and
+    at epochs whose plateau check can stop the fit (``bad == patience``),
+    since a stopped fit takes no further step.
+
+    Returns the two curves, the epochs run, the evaluations of the final
+    parameters on train and valid, and ``(epoch, step)`` of the last step
+    (``(None, None)`` when no epoch ran).  A non-finite step or evaluation
+    raises :class:`T.NonFiniteError` with the epoch and the step (counted
+    from 0 over the fit; an evaluation names the step whose update it
+    evaluates)."""
     opt = make_optimizer(cfg)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stream_key]))
     tape = T.Tape()
+    valid_batch = next(b for b in env_batches if b.env_id == "valid")
     train_curve, valid_curve = [], []
     best = np.inf
     bad = 0
     epochs_run = 0
     step = 0
-    valid_batch = next(b for b in env_batches if b.env_id == "valid")
-    for epoch in range(cfg.epochs):
-        for batch in _minibatches(train_batch, cfg.batch_size, rng):
-            # the parameters are unchanged when a step fails, so the replay
-            # recomputes the same gradients
-            _checked(epoch, step,
-                     partial(train_step, model, batch, env_batches, weights,
-                             opt, tape=tape),
-                     partial(step_gradients, model, batch, env_batches,
-                             weights, tape=tape))
-            step += 1
-        epochs_run += 1
-        train_eval, valid_eval = (
-            _checked(epoch, step - 1, partial(evaluate, model, b))
-            for b in (train_batch, valid_batch))
-        train_curve.append(train_eval["risks"])
-        valid_curve.append(valid_eval["risks"])
-        total = float(sum(train_eval["risks"]))
+    at = (None, None)   # (epoch, step) of the last step
+    owed = False        # the last epoch's risks come from the next step
+    owed_valid = None   # ... except its valid risks, when evaluated
+    final = None
+
+    def stops(train_risks, valid_risks) -> bool:
+        """Append one epoch's risks; True when the plateau rule stops."""
+        nonlocal best, bad
+        train_curve.append(train_risks)
+        valid_curve.append(valid_risks)
+        total = float(sum(train_risks))
         if total < best - PLATEAU_TOL:
             best = total
             bad = 0
         else:
             bad += 1
-            if bad > cfg.patience:
+        return bad > cfg.patience
+
+    def evaluations():
+        return [_checked(*at, partial(evaluate, model, b))
+                for b in (train_batch, valid_batch)]
+
+    for epoch in range(cfg.epochs):
+        for batch in _minibatches(train_batch, cfg.batch_size, rng):
+            # the parameters are unchanged when a step fails, so the replay
+            # recomputes the same gradients
+            parts = _checked(epoch, step,
+                             partial(train_step, model, batch, env_batches,
+                                     weights, opt, tape=tape),
+                             partial(step_gradients, model, batch,
+                                     env_batches, weights, tape=tape))
+            step += 1
+        at = (epoch, step - 1)
+        if owed:  # bad < patience before this check, so it cannot stop
+            stops(parts["task_risks"], parts.get("valid_risks", owed_valid))
+        epochs_run += 1
+        # a step on the whole train split (``_minibatches`` yields it
+        # unsplit) computes these parameters' train risks
+        owed = (batch is train_batch and epoch + 1 < cfg.epochs
+                and bad < cfg.patience)
+        if not owed:
+            final = evaluations()
+            if stops(*(e["risks"] for e in final)):
                 break
-    return train_curve, valid_curve, epochs_run
+        elif "valid_risks" not in parts:
+            owed_valid = _checked(*at, partial(evaluate, model,
+                                               valid_batch))["risks"]
+    return train_curve, valid_curve, epochs_run, final or evaluations(), at
 
 
 def train(cfg: TrainConfig):
@@ -458,19 +500,20 @@ def train(cfg: TrainConfig):
         "acc_val", "risk_test", "acc_test", "rho_spur", "saliency",
         "routing")}
     for model, fit_envs, test_view, rho_view, stream_key in fits:
-        tr, va, ep = _fit(model, fit_envs[0], fit_envs, weights, cfg,
-                          stream_key=stream_key)
-        test_eval = evaluate(model, test_view)
+        tr, va, ep, (train_eval, valid_eval), at = _fit(
+            model, fit_envs[0], fit_envs, weights, cfg, stream_key=stream_key)
+        test_eval = _checked(*at, partial(evaluate, model, test_view))
         cols["epochs_run"].append(ep)
-        cols["acc_train"] += evaluate(model, fit_envs[0])["accuracy"]
-        cols["acc_val"] += evaluate(model, fit_envs[1])["accuracy"]
+        cols["acc_train"] += train_eval["accuracy"]
+        cols["acc_val"] += valid_eval["accuracy"]
         cols["risk_test"] += test_eval["risks"]
         cols["acc_test"] += test_eval["accuracy"]
         cols["routing"] += model.routing.matrix().tolist()
         for t in range(model.tasks):
             cols["train_risk_curve"].append([row[t] for row in tr])
             cols["valid_risk_curve"].append([row[t] for row in va])
-        saliency, rho = spurious_scores(model, rho_view)
+        saliency, rho = _checked(*at, partial(spurious_scores, model,
+                                              rho_view))
         cols["saliency"] += saliency.tolist()
         cols["rho_spur"] += rho
     report = RunReport(

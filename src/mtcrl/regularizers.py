@@ -158,7 +158,7 @@ def _encodings(model: MtlModel, binding: TapeBinding, env_batches, encoded):
 
 
 def environment_gradients(model: MtlModel, binding: TapeBinding, env_batches,
-                          encoded=()) -> dict:
+                          encoded=(), risks=None) -> dict:
     """``{task: {env_id: gradient}}`` in environment order: the routing-row
     gradient (1 x K, on the tape) of every (task, environment) risk.
 
@@ -168,7 +168,9 @@ def environment_gradients(model: MtlModel, binding: TapeBinding, env_batches,
 
     Heads are detached: the per-task predictors are treated as fixed
     inside the invariance penalties, so the penalties contribute exactly
-    zero gradient to head parameters.
+    zero gradient to head parameters.  Detaching changes no value, so the
+    risks that ``risks`` (a dict, filled ``{env_id: [risk per task]}``)
+    receives are the environments' task risks.
     """
     a = model.routing.weights(binding)
     rows, total = {}, None
@@ -177,6 +179,8 @@ def environment_gradients(model: MtlModel, binding: TapeBinding, env_batches,
             row = T.narrow(a, 0, t, 1)
             risk = env_task_risk(model, binding, batch, t, z=z, a_row=row,
                                  detach_heads=True)
+            if risks is not None:
+                risks.setdefault(batch.env_id, []).append(float(risk.data))
             rows[t, batch.env_id] = row
             total = risk if total is None else T.add(total, risk)
     grads = dict(zip(rows, T.grad(total, list(rows.values()),
@@ -212,17 +216,20 @@ def girm_var_penalty(env_grads: dict) -> T.Tensor:
 
 
 def irm_baseline_penalty(model: MtlModel, binding: TapeBinding,
-                         env_batches, encoded=()) -> T.Tensor:
+                         env_batches, encoded=(), risks=None) -> T.Tensor:
     """Squared norms of env-risk gradients w.r.t. routing row AND head
     parameters.  This is the multi-task IRM adaptation: unlike the
     graph-invariance penalties, heads are not detached; environments share
-    them, so each (task, environment) takes its own inner gradient."""
+    them, so each (task, environment) takes its own inner gradient.
+    ``risks`` is filled as in :func:`environment_gradients`."""
     a = model.routing.weights(binding)
     total = None
     for batch, z in _encodings(model, binding, env_batches, encoded):
         for t in range(model.tasks):
             row = T.narrow(a, 0, t, 1)
             risk = env_task_risk(model, binding, batch, t, z=z, a_row=row)
+            if risks is not None:
+                risks.setdefault(batch.env_id, []).append(float(risk.data))
             head_leaves = binding.leaves_for(model.heads[t].parameters())
             for g in T.grad(risk, [row, *head_leaves], create_graph=True):
                 term = T.l2_norm_sq(g)
@@ -231,19 +238,22 @@ def irm_baseline_penalty(model: MtlModel, binding: TapeBinding,
 
 
 def girm_penalty(model: MtlModel, binding: TapeBinding, env_batches,
-                 variant: str, encoded=()) -> T.Tensor | None:
+                 variant: str, encoded=(), risks=None) -> T.Tensor | None:
     """Dispatch on the invariance-penalty variant; None when disabled.
 
     ``encoded`` passes ``(batch, z)`` pairs already encoded on this tape.
     The graph-invariance variants detach the heads; the baseline variant
-    never detaches by definition.
+    never detaches by definition.  A ``risks`` dict receives the value of
+    every (task, environment) risk the penalty builds, as
+    ``{env_id: [risk per task]}``; recording them adds no tape node.
     """
     if variant == "none":
         return None
     if variant == "irm-baseline":
-        return irm_baseline_penalty(model, binding, env_batches, encoded)
+        return irm_baseline_penalty(model, binding, env_batches, encoded,
+                                    risks=risks)
     env_grads = environment_gradients(model, binding, env_batches,
-                                      encoded=encoded)
+                                      encoded=encoded, risks=risks)
     if variant == "norm":
         return girm_norm_penalty(env_grads)
     if variant == "var":

@@ -136,8 +136,9 @@ class TestFailedRun:
         diag = json.loads((out / "diagnostic.json").read_text())
         assert "non-finite" in diag["error"]
         assert diag["type"] == "NonFiniteError"
-        # the replay names the op that first overflowed and where it ran
-        assert diag["boundary"] == "the risks on 'train'"
+        # the replay names the op that first overflowed and where it ran;
+        # epoch 0's train risks wait for step 1, so valid is checked first
+        assert diag["boundary"] == "the risks on 'valid'"
         assert diag["op"] == "matmul" and isinstance(diag["node"], int)
         assert diag["parent_ops"] == ["matmul", "leaf"]
         assert (diag["epoch"], diag["step"]) == (0, 0)

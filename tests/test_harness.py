@@ -397,13 +397,52 @@ class TestFiniteness:
         assert opt.t == 0
 
     def test_evaluate_failure_names_the_op_epoch_and_step(self):
-        # one Adam step moves every weight by ~1e300; evaluation overflows
+        # one Adam step moves every weight by ~1e300; evaluation overflows.
+        # The train risks of epoch 0 wait for step 1's loss, so the valid
+        # evaluation of epoch 0 is the first boundary to see it
         with pytest.raises(T.NonFiniteError) as info:
             train(quick_config(learning_rate=1e300))
         err = info.value
-        assert err.boundary == "the risks on 'train'"
+        assert err.boundary == "the risks on 'valid'"
         assert err.op == "matmul" and isinstance(err.node, int)
         assert (err.epoch, err.step) == (0, 0)
+
+    def test_valid_risk_boundary_when_the_penalty_stays_finite(self):
+        # valid labels ~1e160 overflow the valid risks (~1e320); with head
+        # weights ~1e-20 the routing gradients (~1e140) and so the detached
+        # var penalty stay finite
+        model = tiny_model(seed=5)
+        for head in model.heads:
+            for p in head.parameters():
+                p.value[:] *= 1e-20
+        train_b, valid_b = tiny_batches(seed=5)
+        valid_b = replace(valid_b, labels={t: y * 1e160
+                                           for t, y in valid_b.labels.items()})
+        weights = PenaltyWeights(0.5, 0.01, 0.1, 1.0, "var")
+        opt = Adam(1e-2)
+        before = _state(model, opt)
+        with pytest.raises(T.NonFiniteError) as info:
+            train_step(model, train_b, [train_b, valid_b], weights, opt)
+        assert info.value.boundary == "the risks on 'valid'"
+        _assert_same_state(before, _state(model, opt))
+
+    def test_post_fit_failure_names_the_op_epoch_and_step(self, monkeypatch):
+        # the test split is evaluated after the fit, at its last step
+        bundle = harness._dataset_bundle
+
+        def nan_test(cfg):
+            train_b, valid_b, test_b, *rest = bundle(cfg)
+            test_b = replace(test_b, inputs=np.full_like(test_b.inputs, np.nan))
+            return (train_b, valid_b, test_b, *rest)
+
+        monkeypatch.setattr(harness, "_dataset_bundle", nan_test)
+        with pytest.raises(T.NonFiniteError) as info:
+            train(quick_config(epochs=2))
+        err = info.value
+        assert err.boundary == "the risks on 'test'"
+        assert err.op == "matmul" and isinstance(err.node, int)
+        assert (err.epoch, err.step) == (1, 1)
+        assert "epoch 1, step 1" in str(err)
 
 
 class TestTrain:
@@ -490,6 +529,85 @@ class TestTrain:
         assert rep.epochs_run == [2]
 
 
+def reference_fit(model, train_batch, env_batches, weights, cfg, stream_key):
+    """The fit loop that evaluates train and valid after every epoch, with
+    ``harness._fit``'s return shape."""
+    opt = harness.make_optimizer(cfg)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stream_key]))
+    tape = T.Tape()
+    valid_batch = next(b for b in env_batches if b.env_id == "valid")
+    train_curve, valid_curve = [], []
+    best, bad, epochs_run = np.inf, 0, 0
+    for _ in range(cfg.epochs):
+        for batch in harness._minibatches(train_batch, cfg.batch_size, rng):
+            train_step(model, batch, env_batches, weights, opt, tape=tape)
+        epochs_run += 1
+        train_curve.append(evaluate(model, train_batch)["risks"])
+        valid_curve.append(evaluate(model, valid_batch)["risks"])
+        total = float(sum(train_curve[-1]))
+        if total < best - harness.PLATEAU_TOL:
+            best, bad = total, 0
+        else:
+            bad += 1
+            if bad > cfg.patience:
+                break
+    final = [evaluate(model, b) for b in (train_batch, valid_batch)]
+    return train_curve, valid_curve, epochs_run, final, (None, None)
+
+
+MTCRL_WEIGHTS = {v: PenaltyWeights(0.5, 0.01, 0.1, 1.0, v)
+                 for v in ("var", "norm", "irm-baseline")}
+FIT_CASES = {
+    "var": dict(mode="mtcrl", weights=MTCRL_WEIGHTS["var"]),
+    "norm": dict(mode="mtcrl", weights=MTCRL_WEIGHTS["norm"]),
+    "irm-baseline": dict(mode="mtcrl", weights=MTCRL_WEIGHTS["irm-baseline"]),
+    "mtl-vanilla": dict(mode="mtl-vanilla"),
+    "stl": dict(mode="stl"),
+    "var-minibatch": dict(mode="mtcrl", weights=MTCRL_WEIGHTS["var"],
+                          batch_size=50),
+}
+
+
+class TestDeferredRisks:
+    """Full-batch epochs take their risks from the next step's forward pass
+    instead of from ``evaluate``; the curves must not change."""
+
+    @pytest.mark.parametrize("case", FIT_CASES)
+    @pytest.mark.parametrize("patience,lr", [(0, 0.1), (2, 0.1), (6, 0.1),
+                                             (0, 0.0), (2, 0.0)])
+    def test_fit_equals_the_per_epoch_evaluation_loop(self, case, patience,
+                                                      lr, monkeypatch):
+        cfg = quick_config(epochs=6, patience=patience, learning_rate=lr,
+                           **FIT_CASES[case])
+        got = train(cfg)[0]
+        monkeypatch.setattr(harness, "_fit", reference_fit)
+        want = train(cfg)[0]
+        assert got.epochs_run == want.epochs_run
+        assert got.train_risk_curve == want.train_risk_curve
+        assert got.valid_risk_curve == want.valid_risk_curve
+        assert (got.json(include_wall_clock=False)
+                == want.json(include_wall_clock=False))
+        if lr == 0.0:  # immediate plateau
+            assert set(got.epochs_run) == {min(patience + 2, 6)}
+
+    @pytest.mark.parametrize("case,calls", [
+        ("var", ["train", "valid", "test"]),
+        ("mtl-vanilla", ["valid"] * 5 + ["train", "valid", "test"])])
+    def test_evaluate_calls_per_train(self, case, calls, monkeypatch):
+        # a full-batch fit that cannot stop early evaluates train and valid
+        # once, at the end; without a penalty the step does not encode the
+        # valid split, so valid is evaluated every epoch (6 + 2 calls)
+        seen, real = [], harness.evaluate
+
+        def counted(model, batch):
+            seen.append(batch.env_id)
+            return real(model, batch)
+
+        monkeypatch.setattr(harness, "evaluate", counted)
+        train(quick_config(epochs=6, patience=6, **FIT_CASES[case]))
+        assert seen == calls
+
+
 class TestEvaluate:
     def test_sign_accuracy(self):
         model = tiny_model(seed=6)
@@ -501,9 +619,10 @@ class TestEvaluate:
     @pytest.mark.parametrize("kind", ["mse", "xent"])
     def test_risks_are_the_step_risks(self, kind):
         # one loss implementation: the risk curves hold, bit for bit, the
-        # risks a full-batch step trains on (150 rows, so 1/n is inexact)
+        # risks a full-batch step trains on (150 rows, so 1/n is inexact),
+        # and the valid risks that each girm penalty builds
         classes = 1 if kind == "mse" else 3
-        for seed in range(3):
+        for seed, variant in enumerate(("var", "norm", "irm-baseline")):
             model = MtlModel(tasks=3, k=2, input_dim=4, total_dim=8,
                              encoder_hidden=(5,), encoder_activation="tanh",
                              head_hidden=(), head_out_dims=[classes] * 3,
@@ -516,8 +635,14 @@ class TestEvaluate:
                     b.labels = {t: rng.integers(0, classes, size=150)
                                 for t in b.labels}
             _, parts = step_gradients(model, batches[0], batches,
-                                      PenaltyWeights(1.0, 0.1, 0.5, 3.0, "var"))
+                                      PenaltyWeights(1.0, 0.1, 0.5, 3.0,
+                                                     variant))
             assert evaluate(model, batches[0])["risks"] == parts["task_risks"]
+            assert evaluate(model, batches[1])["risks"] == parts["valid_risks"]
+            _, bare = step_gradients(model, batches[0], batches,
+                                     PenaltyWeights(1.0, 0.1, 0.5, 0.0,
+                                                    variant))
+            assert "valid_risks" not in bare
 
 
 class TestMultiMnistEndToEnd:
