@@ -104,26 +104,25 @@ def task_module_gradients(model: MtlModel, env_batches) -> TaskModuleGradients:
     Entry (t, i) is the gradient of environment risk for task t w.r.t. the
     routing weight of module i; the difference table flags modules that
     help on the training slice but not off it.  Signs are reported raw.
-    One gradient of all risks at once: each row feeds only its own risk.
+    Each environment's table is one gradient of its summed risks w.r.t. its
+    own routing matrix: row t feeds only task t's risk.
     """
     if len(env_batches) < 2:
         raise AnalysisError("need at least two environments")
     binding = TapeBinding(T.Tape())
-    a = model.routing.weights(binding)
-    rows, total = {}, None
+    per_env = {}
     for batch in env_batches:
         with binding.tape.stop_recording():  # z depends on no routing row
             z = model.encode(binding, batch.inputs)
-        rows[batch.env_id] = [T.narrow(a, 0, t, 1)
-                              for t in range(model.tasks)]
-        for t, row in enumerate(rows[batch.env_id]):
-            risk = env_task_risk(model, binding, batch, t, z=z, a_row=row)
+        a = model.routing.weights(binding)
+        total = None
+        for t in range(model.tasks):
+            risk = env_task_risk(model, binding, batch, t, z=z,
+                                 a_row=T.narrow(a, 0, t, 1))
             total = risk if total is None else T.add(total, risk)
-    grads = iter(T.grad(total, [row for env in rows.values() for row in env]))
-    per_env = {e: np.vstack([next(grads).data for _ in env])
-               for e, env in rows.items()}
-    for e, table in per_env.items():
-        T.check_finite(table, f"the routing gradients on '{e}'")
+        table = T.grad(total, [a])[0].data
+        T.check_finite(table, f"the routing gradients on '{batch.env_id}'")
+        per_env[batch.env_id] = table
     if "train" in per_env and "valid" in per_env:
         pair = ("train", "valid")
     else:

@@ -17,6 +17,7 @@ import os
 import sys
 import traceback
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +78,7 @@ def _list_of(kind, key, non_empty=False):
 def _train_config(payload, seed=None) -> harness.TrainConfig:
     cfg = _parse(harness.config_from_dict, payload)
     if seed is not None:
-        cfg = replace(cfg, seed=seed)
+        cfg = _parse(lambda c: replace(c, seed=seed), cfg)
     return cfg
 
 
@@ -138,7 +139,7 @@ def cmd_gen_data(args) -> int:
     spec = _parse(harness.dataset_from_dict, payload.get("dataset", payload))
     if args.seed is not None:
         key = "seed" if isinstance(spec, SemSpec) else "split_seed"
-        spec = replace(spec, **{key: args.seed})
+        spec = _parse(lambda s: replace(s, **{key: args.seed}), spec)
     out = _out_dir(args)
     if isinstance(spec, SemSpec):
         batches = gen_multisem(spec)
@@ -259,15 +260,19 @@ def cmd_analyze(args) -> int:
                 f"checkpoint {args.checkpoint} was trained with config hash "
                 f"'{stored}', but this config hashes to '{expected}'"
             )
-    saliency, rho = harness.spurious_scores(
-        model, harness.rho_spur_batch(cfg, envs, test_b))
+    # a failing check is replayed to name the op; no epoch or step applies
+    saliency, rho = harness._checked(None, None, partial(
+        harness.spurious_scores, model,
+        harness.rho_spur_batch(cfg, envs, test_b)))
     analysis.write_matrix_csv(out / "saliency.csv", saliency,
                               row_labels=[f"task{t}" for t in range(tasks)])
-    grads = analysis.task_module_gradients(model, envs)
+    grads = harness._checked(None, None, partial(
+        analysis.task_module_gradients, model, envs))
     for env_id, table in grads.per_env.items():
         analysis.write_matrix_csv(out / f"task_module_grad_{env_id}.csv", table)
     analysis.write_matrix_csv(out / "task_module_grad_diff.csv", grads.diff)
-    heat = analysis.module_corr_heatmap(model, valid_b)
+    heat = harness._checked(None, None, partial(
+        analysis.module_corr_heatmap, model, valid_b))
     analysis.write_matrix_csv(out / "module_corr.csv", heat.matrix)
     sim = analysis.task_similarity(model.routing.matrix(),
                                    threshold=args.threshold)

@@ -9,6 +9,8 @@ simulates the distribution shift the invariance penalties exploit.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 import struct
 from dataclasses import dataclass, replace
 
@@ -21,6 +23,11 @@ CONTAINER_MAGIC = b"MTCRL1"
 
 class DataError(Exception):
     pass
+
+
+def is_int(value) -> bool:
+    """True for integers of any integer type, bools excluded."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class IdxFormatError(DataError):
@@ -73,14 +80,22 @@ class SemSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("tasks", "d_factor", "nuisance_dims", "n_train",
+                     "n_valid", "n_test", "seed"):
+            if not is_int(getattr(self, name)):
+                raise DataError(f"{name} must be an integer")
         for name in ("m_c_train", "m_c_valid", "m_c_test"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise DataError(f"{name}={v} outside [0, 1]")
-        if self.sigma <= 0:
-            raise DataError("sigma must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise DataError("sigma must be finite and positive")
+        if not math.isfinite(self.mu_scale):
+            raise DataError("mu_scale must be finite")
         if self.tasks < 1 or self.d_factor < 1:
             raise DataError("need at least one task and one factor dimension")
+        if self.nuisance_dims < 0 or self.seed < 0:
+            raise DataError("nuisance_dims and seed must be nonnegative")
         for name in ("n_train", "n_valid", "n_test"):
             if getattr(self, name) < 2:
                 raise DataError(f"{name}={getattr(self, name)} too small for "
@@ -196,15 +211,17 @@ class MnistPairSpec:
     split_seed: int = 0
     ratios: tuple = (3, 1, 1)
     num_classes: int = 10
-    variant: str = "benchmark"  # or "analysis": fewer samples per pair
 
     def __post_init__(self):
+        for name in ("pairs_per_class_pair", "split_seed", "num_classes"):
+            if not is_int(getattr(self, name)):
+                raise DataError(f"{name} must be an integer")
         if len(self.ratios) != 3 or any(r <= 0 for r in self.ratios):
             raise DataError("ratios must be three positive numbers")
-        if self.variant not in ("benchmark", "analysis"):
-            raise DataError(f"unknown variant '{self.variant}'")
         if self.pairs_per_class_pair < 1:
             raise DataError("pairs_per_class_pair must be at least 1")
+        if self.split_seed < 0:
+            raise DataError("split_seed must be nonnegative")
 
 
 def partition_pairs(spec: MnistPairSpec):
@@ -239,8 +256,6 @@ def compose_multimnist(spec: MnistPairSpec):
         if idx.size == 0:
             raise DataError(f"no digits of class {c}; cannot compose pairs")
     n_per_pair = spec.pairs_per_class_pair
-    if spec.variant == "analysis":
-        n_per_pair = max(1, n_per_pair // 10)
     rows, cols = images.shape[1], images.shape[2]
     dim = rows * cols * 2
     left_mask = np.zeros((rows, 2 * cols), dtype=bool)

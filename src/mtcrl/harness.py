@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -22,7 +23,7 @@ import numpy as np
 from . import tensor as T
 from .analysis import factor_gradient, spurious_score, task_similarity
 from .data import (EnvironmentBatch, MnistPairSpec, SemSpec, compose_multimnist,
-                   gen_multisem, split_environments)
+                   gen_multisem, is_int, split_environments)
 from .model import ACTIVATIONS, MtlModel, TapeBinding
 from .regularizers import (PenaltyWeights, decorrelation_loss, env_task_risk,
                            girm_penalty, graph_reg_loss, task_loss)
@@ -61,13 +62,26 @@ class TrainConfig:
             raise HarnessError(f"mode must be one of {MODES}, got '{self.mode}'")
         if self.optimizer not in ("sgd", "adam"):
             raise HarnessError(f"unknown optimizer '{self.optimizer}'")
+        for name in ("k_modules", "total_module_dim", "epochs", "patience",
+                     "batch_size", "stl_module_dim", "seed"):
+            if not is_int(getattr(self, name)):
+                raise HarnessError(f"{name} must be an integer")
         for name in ("epochs", "patience", "batch_size", "stl_module_dim",
-                     "learning_rate"):
+                     "seed"):
             if getattr(self, name) < 0:
                 raise HarnessError(f"{name} must be nonnegative")
         for name in ("k_modules", "total_module_dim"):
             if getattr(self, name) < 1:
                 raise HarnessError(f"{name} must be at least 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise HarnessError("learning_rate must be finite and nonnegative")
+        if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
+            raise HarnessError(f"betas must be two values in [0, 1), "
+                               f"got {self.betas!r}")
+        for name in ("encoder_hidden", "head_hidden"):
+            if not all(is_int(w) and w >= 1 for w in getattr(self, name)):
+                raise HarnessError(f"{name} widths must be integers of at "
+                                   "least 1")
         if self.mode != "stl" and self.total_module_dim % self.k_modules:
             raise HarnessError(f"total_module_dim {self.total_module_dim} is "
                                f"not divisible by k_modules {self.k_modules}")
@@ -214,10 +228,9 @@ def step_gradients(model: MtlModel, train_batch, env_batches,
 
     objective = loss
     if weights.girm_variant != "none" and weights.lambda_girm > 0:
-        env_risks = {}
-        penalty = girm_penalty(model, binding, env_batches,
-                               weights.girm_variant,
-                               encoded=[(train_batch, z)], risks=env_risks)
+        penalty, env_risks = girm_penalty(model, binding, env_batches,
+                                          weights.girm_variant,
+                                          encoded=[(train_batch, z)])
         T.check_finite(penalty, "the girm penalty")
         parts["girm"] = float(penalty.data)
         if "valid" in env_risks:

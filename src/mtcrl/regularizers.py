@@ -1,13 +1,18 @@
 """Loss terms beyond per-task risk: module decorrelation, routing-graph
 sparsity/balance, and the gradient-invariance penalties over environments.
 
-All terms are built from tape ops, so they stay differentiable; the
-invariance penalties additionally run their inner gradient with
-``create_graph=True`` so the training step can differentiate through them.
+All terms are built from tape ops, so they stay differentiable.  Every
+invariance penalty is built from one quantity: per environment e, the
+T x K gradient dA_e of its task risks w.r.t. its own routing matrix A_e,
+taken with ``create_graph=True`` so the training step can differentiate
+through it.  ``norm`` sums its squared norms, ``var`` is its variance over
+environments (as in Fishr, arXiv:2109.02934), and ``irm-baseline`` is
+``norm`` with the head gradients included (IRM, arXiv:1907.02893).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -38,8 +43,10 @@ class PenaltyWeights:
 
     def __post_init__(self):
         for name in ("lambda_decor", "lambda_sps", "lambda_bal", "lambda_girm"):
-            if getattr(self, name) < 0:
-                raise RegularizerError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise RegularizerError(f"{name} must be finite and "
+                                       f"nonnegative, got {value}")
         if self.girm_variant not in GIRM_VARIANTS:
             raise RegularizerError(
                 f"girm_variant must be one of {GIRM_VARIANTS}, "
@@ -147,115 +154,90 @@ def env_task_risk(model: MtlModel, binding: TapeBinding, batch, t: int,
     return task_loss(pred, batch.labels[t], model.loss_kinds[t])
 
 
-def _encodings(model: MtlModel, binding: TapeBinding, env_batches, encoded):
-    """``(batch, z)`` per environment, reusing the encoding of any batch
-    that is itself one of the ``(batch, z)`` pairs in ``encoded``."""
+def environment_gradients(model: MtlModel, binding: TapeBinding, env_batches,
+                          encoded=(), heads: bool = False):
+    """``({env_id: [dA_e, *head grads]}, {env_id: [risk per task]})`` in
+    environment order, the gradients on the tape.
+
+    Each environment e builds its task risks on its own routing matrix
+    ``A_e`` and takes one create_graph gradient of their sum w.r.t.
+    ``A_e`` (T x K) and, with ``heads``, every head's leaves.  Row t of
+    ``A_e`` and head t feed only task t's risk, so row t of ``dA_e`` and
+    head t's gradients are exactly those of R_t^e.  ``encoded`` passes
+    ``(batch, z)`` pairs already encoded on this tape.
+
+    Without ``heads`` the heads are detached: the per-task predictors are
+    treated as fixed inside the invariance penalty, so it contributes
+    exactly zero gradient to head parameters.  Detaching changes no value.
+    """
     if not env_batches:
         raise RegularizerError("need at least one environment")
+    head_leaves = binding.leaves_for(model.head_parameters()) if heads else []
+    grads, risks = {}, {}
     for batch in env_batches:
         z = next((z for b, z in encoded if b is batch), None)
-        yield batch, model.encode(binding, batch.inputs) if z is None else z
-
-
-def environment_gradients(model: MtlModel, binding: TapeBinding, env_batches,
-                          encoded=(), risks=None) -> dict:
-    """``{task: {env_id: gradient}}`` in environment order: the routing-row
-    gradient (1 x K, on the tape) of every (task, environment) risk.
-
-    Each risk is built on its own routing-row node and one create_graph
-    gradient of their sum is taken w.r.t. all rows: a row feeds only its
-    own risk, so its entry is exactly that risk's gradient.
-
-    Heads are detached: the per-task predictors are treated as fixed
-    inside the invariance penalties, so the penalties contribute exactly
-    zero gradient to head parameters.  Detaching changes no value, so the
-    risks that ``risks`` (a dict, filled ``{env_id: [risk per task]}``)
-    receives are the environments' task risks.
-    """
-    a = model.routing.weights(binding)
-    rows, total = {}, None
-    for batch, z in _encodings(model, binding, env_batches, encoded):
+        if z is None:
+            z = model.encode(binding, batch.inputs)
+        a = model.routing.weights(binding)
+        total = None
         for t in range(model.tasks):
-            row = T.narrow(a, 0, t, 1)
-            risk = env_task_risk(model, binding, batch, t, z=z, a_row=row,
-                                 detach_heads=True)
-            if risks is not None:
-                risks.setdefault(batch.env_id, []).append(float(risk.data))
-            rows[t, batch.env_id] = row
+            risk = env_task_risk(model, binding, batch, t, z=z,
+                                 a_row=T.narrow(a, 0, t, 1),
+                                 detach_heads=not heads)
+            risks.setdefault(batch.env_id, []).append(float(risk.data))
             total = risk if total is None else T.add(total, risk)
-    grads = dict(zip(rows, T.grad(total, list(rows.values()),
-                                  create_graph=True)))
-    return {t: {e: g for (u, e), g in grads.items() if u == t}
-            for t in range(model.tasks)}
+        grads[batch.env_id] = T.grad(total, [a, *head_leaves],
+                                     create_graph=True)
+    return grads, risks
 
 
 def girm_norm_penalty(env_grads: dict) -> T.Tensor:
-    """Sum over tasks and environments of squared routing-gradient norms."""
+    """Sum of the squared norms of every environment's gradients."""
     total = None
-    for by_env in env_grads.values():
-        for g in by_env.values():
+    for gs in env_grads.values():
+        for g in gs:
             term = T.l2_norm_sq(g)
             total = term if total is None else T.add(total, term)
     return total
 
 
 def girm_var_penalty(env_grads: dict) -> T.Tensor:
-    """Cross-environment variance of the routing gradients, summed over tasks."""
+    """Variance of the routing gradients ``dA_e`` over environments."""
+    gs = [g for g, *_ in env_grads.values()]
+    avg = gs[0]
+    for g in gs[1:]:
+        avg = T.add(avg, g)
+    avg = T.scale(avg, 1.0 / len(gs))
     total = None
-    for by_env in env_grads.values():
-        gs = list(by_env.values())
-        n_env = len(gs)
-        avg = gs[0]
-        for g in gs[1:]:
-            avg = T.add(avg, g)
-        avg = T.scale(avg, 1.0 / n_env)
-        for g in gs:
-            term = T.scale(T.l2_norm_sq(T.subtract(g, avg)), 1.0 / n_env)
-            total = term if total is None else T.add(total, term)
+    for g in gs:
+        term = T.scale(T.l2_norm_sq(T.subtract(g, avg)), 1.0 / len(gs))
+        total = term if total is None else T.add(total, term)
     return total
 
 
 def irm_baseline_penalty(model: MtlModel, binding: TapeBinding,
-                         env_batches, encoded=(), risks=None) -> T.Tensor:
-    """Squared norms of env-risk gradients w.r.t. routing row AND head
-    parameters.  This is the multi-task IRM adaptation: unlike the
-    graph-invariance penalties, heads are not detached; environments share
-    them, so each (task, environment) takes its own inner gradient.
-    ``risks`` is filled as in :func:`environment_gradients`."""
-    a = model.routing.weights(binding)
-    total = None
-    for batch, z in _encodings(model, binding, env_batches, encoded):
-        for t in range(model.tasks):
-            row = T.narrow(a, 0, t, 1)
-            risk = env_task_risk(model, binding, batch, t, z=z, a_row=row)
-            if risks is not None:
-                risks.setdefault(batch.env_id, []).append(float(risk.data))
-            head_leaves = binding.leaves_for(model.heads[t].parameters())
-            for g in T.grad(risk, [row, *head_leaves], create_graph=True):
-                term = T.l2_norm_sq(g)
-                total = term if total is None else T.add(total, term)
-    return total
+                         env_batches, encoded=()):
+    """``(penalty, risks)`` of the multi-task IRM adaptation: the squared
+    norms of the env-risk gradients w.r.t. the routing rows AND the head
+    parameters, which the environments share and which are not detached."""
+    grads, risks = environment_gradients(model, binding, env_batches,
+                                         encoded, heads=True)
+    return girm_norm_penalty(grads), risks
 
 
 def girm_penalty(model: MtlModel, binding: TapeBinding, env_batches,
-                 variant: str, encoded=(), risks=None) -> T.Tensor | None:
-    """Dispatch on the invariance-penalty variant; None when disabled.
+                 variant: str, encoded=()):
+    """``(penalty, risks)`` of an invariance-penalty variant, ``risks``
+    as ``{env_id: [risk per task]}``.
 
     ``encoded`` passes ``(batch, z)`` pairs already encoded on this tape.
     The graph-invariance variants detach the heads; the baseline variant
-    never detaches by definition.  A ``risks`` dict receives the value of
-    every (task, environment) risk the penalty builds, as
-    ``{env_id: [risk per task]}``; recording them adds no tape node.
+    never detaches by definition.  Recording the risks adds no tape node.
     """
-    if variant == "none":
-        return None
     if variant == "irm-baseline":
-        return irm_baseline_penalty(model, binding, env_batches, encoded,
-                                    risks=risks)
-    env_grads = environment_gradients(model, binding, env_batches,
-                                      encoded=encoded, risks=risks)
-    if variant == "norm":
-        return girm_norm_penalty(env_grads)
-    if variant == "var":
-        return girm_var_penalty(env_grads)
-    raise RegularizerError(f"unknown girm variant '{variant}'")
+        return irm_baseline_penalty(model, binding, env_batches, encoded)
+    penalty = {"norm": girm_norm_penalty, "var": girm_var_penalty}.get(variant)
+    if penalty is None:
+        raise RegularizerError(f"unknown girm variant '{variant}'")
+    grads, risks = environment_gradients(model, binding, env_batches, encoded)
+    return penalty(grads), risks

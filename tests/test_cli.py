@@ -24,6 +24,10 @@ def quick_config_dict(**overrides):
     return payload
 
 
+NAN = float("nan")
+QUICK_DATASET = quick_config_dict()["dataset"]
+
+
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "config.json"
@@ -90,6 +94,22 @@ class TestUsageErrors:
         *[("gen-data", {"kind": "multimnist", "pairs_per_class_pair": n})
           for n in (0, -1)],
         ("ablate", {"base": {"mode": "mtl-vanilla", "batch_size": 1}}),
+        *[("train", quick_config_dict(mode="mtcrl", weights={name: NAN}))
+          for name in ("lambda_girm", "lambda_decor")],
+        *[("train", quick_config_dict(learning_rate=lr))
+          for lr in (float("inf"), NAN)],
+        *[("train", quick_config_dict(betas=betas))
+          for betas in ([1.0, 0.999], [0.9, 0.999, 0.99], [-0.5, 0.999])],
+        ("train", quick_config_dict(encoder_hidden=[-3])),
+        ("train", quick_config_dict(encoder_hidden=[0])),
+        ("train", quick_config_dict(head_hidden=[-1])),
+        *[("train", quick_config_dict(dataset={**QUICK_DATASET, name: value}))
+          for name, value in (("nuisance_dims", -2), ("sigma", NAN),
+                              ("mu_scale", NAN))],
+        ("train", quick_config_dict(epochs=2.5)),
+        ("train", quick_config_dict(seed=-1)),
+        ("train", quick_config_dict(dataset={**QUICK_DATASET, "seed": -3})),
+        ("gen-data", {"kind": "multimnist", "split_seed": -1}),
     ])
     def test_bad_driver_config_exits_two(self, command, payload, tmp_path,
                                          capsys):
@@ -99,6 +119,15 @@ class TestUsageErrors:
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
         assert "bad config" in capsys.readouterr().err
         assert not (out / "diagnostic.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "gen-data"])
+    def test_negative_seed_flag_exits_two(self, command, config_file,
+                                          tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main([command, "--config", config_file, "--seed", "-1",
+                     "--out", str(out)]) == 2
+        assert "bad config" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_rho_spur_split_exits_two_before_training(self, tmp_path,
                                                           capsys):
@@ -289,6 +318,26 @@ class TestAnalyzeCommand:
                      "--out", str(out)]) == 2
         assert "one K = 1 model per task" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_nonfinite_checkpoint_names_the_op(self, config_file, tmp_path,
+                                               capsys):
+        # a NaN weight fails the first analysis check; its replay names
+        # the op and node that produced the NaN
+        run_out = tmp_path / "run"
+        assert main(["train", "--config", config_file,
+                     "--out", str(run_out)]) == 0
+        path = run_out / "checkpoint.json"
+        payload = json.loads(path.read_text())
+        payload["arrays"]["module0.layer0.weight"]["data"][0] = float("nan")
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--config", config_file,
+                     "--checkpoint", str(path), "--out", str(out)]) == 1
+        diag = json.loads((out / "diagnostic.json").read_text())
+        assert diag["type"] == "NonFiniteError"
+        assert diag["boundary"] == "the input gradient of task 0"
+        assert diag["op"] == "matmul" and isinstance(diag["node"], int)
+        assert (diag["epoch"], diag["step"]) == (None, None)
 
     def test_missing_checkpoint(self, config_file, tmp_path, capsys):
         assert main(["analyze", "--config", config_file,

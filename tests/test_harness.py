@@ -149,8 +149,8 @@ class TestTrainStep:
         loss = T.add(T.add(T.add(risk0, risk1),
                            decorrelation_loss(z, k, weights.lambda_decor)),
                      graph_reg_loss(a, weights.lambda_sps, weights.lambda_bal))
-        penalty = girm_penalty(model, binding, [train_b, valid_b], variant,
-                               encoded=[(train_b, z)])
+        penalty, _ = girm_penalty(model, binding, [train_b, valid_b],
+                                  variant, encoded=[(train_b, z)])
         leaves = binding.leaves_for(model.parameters())
         main, pen = T.grad(loss, leaves), T.grad(penalty, leaves)
 
@@ -260,8 +260,10 @@ class TestTrainStep:
         assert proc.returncode == 0, proc.stderr
 
     def test_tape_does_not_grow_with_module_count(self, monkeypatch):
-        # one encoding per batch and two gradient calls: all inner routing
-        # gradients, and one backward of loss + lambda * penalty
+        # one encoding per batch and E + 1 = 3 gradient calls under every
+        # variant: one inner gradient per environment (routing matrix, and
+        # heads under irm-baseline), and one backward of loss + lambda *
+        # penalty; per-(task, environment) inner gradients would make 5
         def counted(fn, calls):
             def wrapper(*args, **kwargs):
                 calls.append(1)
@@ -273,24 +275,28 @@ class TestTrainStep:
         monkeypatch.setattr(MtlModel, "encode",
                             counted(MtlModel.encode, encodes))
         batches = tiny_batches(seed=6)
-        nodes = []
-        for k in (2, 8):
-            model = MtlModel(tasks=2, k=k, input_dim=4, total_dim=16,
-                             encoder_hidden=(5,), encoder_activation="tanh",
-                             head_hidden=(), head_out_dims=[1, 1],
-                             loss_kinds=["mse", "mse"],
-                             rng=np.random.default_rng(6))
-            tape = T.Tape()
-            grad_calls.clear()
-            encodes.clear()
-            step_gradients(model, batches[0], batches,
-                           PenaltyWeights(1.0, 0.1, 0.5, 2.0, "var"), tape=tape)
-            nodes.append(len(tape.nodes))
-            # one sigmoid for the loss's routing rows, one for the penalty's
-            assert [n.op for n in tape.nodes].count("sigmoid") == 2
-            assert len(grad_calls) == 2
-            assert len(encodes) == 2
-        assert nodes[0] == nodes[1]
+        for variant in ("var", "irm-baseline"):
+            nodes = []
+            for k in (2, 8):
+                model = MtlModel(tasks=2, k=k, input_dim=4, total_dim=16,
+                                 encoder_hidden=(5,),
+                                 encoder_activation="tanh", head_hidden=(),
+                                 head_out_dims=[1, 1],
+                                 loss_kinds=["mse", "mse"],
+                                 rng=np.random.default_rng(6))
+                tape = T.Tape()
+                grad_calls.clear()
+                encodes.clear()
+                step_gradients(model, batches[0], batches,
+                               PenaltyWeights(1.0, 0.1, 0.5, 2.0, variant),
+                               tape=tape)
+                nodes.append(len(tape.nodes))
+                # one routing matrix for the loss, one per penalty
+                # environment
+                assert [n.op for n in tape.nodes].count("sigmoid") == 3
+                assert len(grad_calls) == 3
+                assert len(encodes) == 2
+            assert nodes[0] == nodes[1]
 
     def test_nonfinite_loss_aborts(self):
         model = tiny_model(seed=5)

@@ -214,74 +214,95 @@ class TestEnvTaskRisk:
             env_task_risk(model, TapeBinding(T.Tape()), empty, 0)
 
 
-def constant_grad_set(per_task_env):
-    """Routing gradients from plain arrays, e.g. {0: {'train': [1, 0]}}."""
-    return {
-        t: {env: T.Tensor(np.asarray(vec, dtype=float).reshape(1, -1))
-            for env, vec in envs.items()}
-        for t, envs in per_task_env.items()
-    }
+def constant_grad_set(per_env):
+    """Environment gradients from plain arrays, e.g.
+    {'train': [[[1, 0], [0, 2]], [5.0]]}: a T x K routing gradient, then
+    any further gradients; a flat list is one row."""
+    return {env: [T.Tensor(np.atleast_2d(np.asarray(g, dtype=float)))
+                  for g in gs]
+            for env, gs in per_env.items()}
 
 
 class TestGirmPenalties:
     def test_norm_zero_at_stationary_point(self):
-        gs = constant_grad_set({0: {"train": [0, 0], "valid": [0, 0]}})
+        gs = constant_grad_set({"train": [[0, 0]], "valid": [[0, 0]]})
         assert girm_norm_penalty(gs).item() == 0.0
 
     def test_norm_single_gradient_arithmetic(self):
-        gs = constant_grad_set({0: {"train": [3.0, 4.0]}})
+        gs = constant_grad_set({"train": [[3.0, 4.0]]})
         assert girm_norm_penalty(gs).item() == pytest.approx(25.0, abs=1e-13)
+        # every listed gradient counts, head gradients included
+        gs = constant_grad_set({"train": [[3.0, 4.0], [12.0]]})
+        assert girm_norm_penalty(gs).item() == pytest.approx(169.0, abs=1e-13)
 
     def test_var_zero_for_identical_nonzero_gradients(self):
-        gs = constant_grad_set({0: {"train": [2.0, -1.0], "valid": [2.0, -1.0]}})
+        gs = constant_grad_set({"train": [[2.0, -1.0]], "valid": [[2.0, -1.0]]})
         assert girm_var_penalty(gs).item() == 0.0
         assert girm_norm_penalty(gs).item() > 0  # separation of the two forms
 
     def test_var_single_environment_is_zero(self):
-        gs = constant_grad_set({0: {"train": [5.0, 1.0]}})
+        gs = constant_grad_set({"train": [[[5.0, 1.0], [2.0, 3.0]]]})
         assert girm_var_penalty(gs).item() == 0.0
 
     def test_var_hand_example(self):
-        gs = constant_grad_set({0: {"train": [1.0, 0.0], "valid": [3.0, 0.0]}})
+        gs = constant_grad_set({"train": [[[1.0, 0.0], [0.0, 2.0]]],
+                                "valid": [[[3.0, 0.0], [0.0, 2.0]]]})
         assert girm_var_penalty(gs).item() == pytest.approx(1.0, abs=1e-13)
 
     def test_environment_permutation_invariance(self):
         model = make_model(seed=5)
         batches = make_batches(seed=5)
         tape = T.Tape()
-        gs = environment_gradients(model, TapeBinding(tape), batches)
+        gs, _ = environment_gradients(model, TapeBinding(tape), batches)
         n1 = girm_norm_penalty(gs).item()
         v1 = girm_var_penalty(gs).item()
         tape2 = T.Tape()
-        gs2 = environment_gradients(model, TapeBinding(tape2), batches[::-1])
+        gs2, _ = environment_gradients(model, TapeBinding(tape2),
+                                       batches[::-1])
         assert girm_norm_penalty(gs2).item() == pytest.approx(n1, rel=1e-12)
         assert girm_var_penalty(gs2).item() == pytest.approx(v1, rel=1e-12)
 
     def test_one_inner_call_equals_per_pair_gradients(self):
+        # one inner gradient per environment gives each (task, environment)
+        # risk's routing-row and head gradients and its value bit for bit
         model = make_model(seed=13)
         batches = make_batches(seed=13)
-        gs = environment_gradients(model, TapeBinding(T.Tape()), batches)
-        for batch in batches:
-            binding = TapeBinding(T.Tape())
-            z = model.encode(binding, batch.inputs)
-            for t in range(model.tasks):
-                row = model.routing_row(binding, t)
-                risk = env_task_risk(model, binding, batch, t, z=z, a_row=row,
-                                     detach_heads=True)
-                np.testing.assert_array_equal(
-                    gs[t][batch.env_id].data,
-                    T.grad(risk, [row])[0].data)
+        n_head = len(model.heads[0].parameters())
+        for heads in (False, True):
+            gs, risks = environment_gradients(model, TapeBinding(T.Tape()),
+                                              batches, heads=heads)
+            assert list(gs) == list(risks) == [b.env_id for b in batches]
+            for batch in batches:
+                dA, *head_grads = gs[batch.env_id]
+                assert dA.shape == (model.tasks, model.k)
+                assert len(head_grads) == (model.tasks * n_head if heads
+                                           else 0)
+                binding = TapeBinding(T.Tape())
+                z = model.encode(binding, batch.inputs)
+                for t in range(model.tasks):
+                    row = model.routing_row(binding, t)
+                    leaves = (binding.leaves_for(model.heads[t].parameters())
+                              if heads else [])
+                    risk = env_task_risk(model, binding, batch, t, z=z,
+                                         a_row=row, detach_heads=not heads)
+                    ref = T.grad(risk, [row, *leaves])
+                    np.testing.assert_array_equal(dA.data[t:t + 1],
+                                                  ref[0].data)
+                    for g, r in zip(head_grads[t * n_head:], ref[1:]):
+                        np.testing.assert_array_equal(g.data, r.data)
+                    np.testing.assert_array_equal(risks[batch.env_id][t],
+                                                  risk.item())
 
     def test_reused_encoding_gives_same_penalty(self):
         model = make_model(seed=14)
         batches = make_batches(seed=14)
         for variant in ("var", "irm-baseline"):
             fresh = girm_penalty(model, TapeBinding(T.Tape()), batches,
-                                 variant).item()
+                                 variant)[0].item()
             binding = TapeBinding(T.Tape())
             z = model.encode(binding, batches[0].inputs)
             reused = girm_penalty(model, binding, batches, variant,
-                                  encoded=[(batches[0], z)]).item()
+                                  encoded=[(batches[0], z)])[0].item()
             assert reused == fresh
 
     def test_head_detachment_gives_exact_zero_head_gradients(self):
@@ -289,7 +310,7 @@ class TestGirmPenalties:
         batches = make_batches(seed=6)
         tape = T.Tape()
         binding = TapeBinding(tape)
-        penalty = girm_penalty(model, binding, batches, "var")
+        penalty, _ = girm_penalty(model, binding, batches, "var")
         head_leaves = binding.leaves_for(model.head_parameters())
         for g in T.grad(penalty, head_leaves):
             np.testing.assert_array_equal(g.data, 0.0)
@@ -299,7 +320,7 @@ class TestGirmPenalties:
         batches = make_batches(seed=6)
         tape = T.Tape()
         binding = TapeBinding(tape)
-        penalty = girm_penalty(model, binding, batches, "irm-baseline")
+        penalty, _ = girm_penalty(model, binding, batches, "irm-baseline")
         head_leaves = binding.leaves_for(model.head_parameters())
         assert any(np.any(g.data != 0) for g in T.grad(penalty, head_leaves))
 
@@ -312,11 +333,12 @@ class TestGirmPenalties:
 
         def penalty_value() -> float:
             tape = T.Tape()
-            return girm_penalty(model, TapeBinding(tape), batches, "norm").item()
+            return girm_penalty(model, TapeBinding(tape), batches,
+                                "norm")[0].item()
 
         tape = T.Tape()
         binding = TapeBinding(tape)
-        pen = girm_penalty(model, binding, batches, "norm")
+        pen, _ = girm_penalty(model, binding, batches, "norm")
         leaf = binding.leaf(target)
         analytic = T.grad(pen, [leaf])[0].data
         step = 1e-5
@@ -356,26 +378,34 @@ class TestGirmPenalties:
         assert added[0] == added[1]
 
     def test_irm_baseline_decomposes(self):
+        # the baseline is the routing-gradient norm plus the squared norms
+        # of per-(task, environment) head gradients, and it reports the
+        # risks it builds
         model = make_model(seed=8)
         batches = make_batches(seed=8)
-        tape = T.Tape()
-        binding = TapeBinding(tape)
-        total = irm_baseline_penalty(model, binding, batches).item()
-        tape2 = T.Tape()
-        binding2 = TapeBinding(tape2)
-        gs = environment_gradients(model, binding2, batches)
+        total, risks = irm_baseline_penalty(model, TapeBinding(T.Tape()),
+                                            batches)
+        gs, _ = environment_gradients(model, TapeBinding(T.Tape()), batches)
         routing_part = girm_norm_penalty(gs).item()
+        with_heads, _ = environment_gradients(model, TapeBinding(T.Tape()),
+                                              batches, heads=True)
         head_part = 0.0
         for batch in batches:
-            tape3 = T.Tape()
-            b3 = TapeBinding(tape3)
+            b3 = TapeBinding(T.Tape())
             z = model.encode(b3, batch.inputs)
+            head_grads = with_heads[batch.env_id][1:]
+            ref_risks = []
             for t in range(model.tasks):
                 risk = env_task_risk(model, b3, batch, t, z=z)
+                ref_risks.append(risk.item())
                 leaves = b3.leaves_for(model.heads[t].parameters())
-                head_part += sum(float((g.data ** 2).sum())
-                                 for g in T.grad(risk, leaves))
-        assert total == pytest.approx(routing_part + head_part, rel=1e-9)
+                for g in T.grad(risk, leaves):
+                    np.testing.assert_array_equal(head_grads.pop(0).data,
+                                                  g.data)
+                    head_part += float((g.data ** 2).sum())
+            np.testing.assert_array_equal(risks[batch.env_id], ref_risks)
+        assert total.item() == pytest.approx(routing_part + head_part,
+                                             rel=1e-9)
 
     def test_zero_head_gradients_make_baseline_equal_norm(self):
         # craft labels so the mse residual is orthogonal to the head input
@@ -398,9 +428,10 @@ class TestGirmPenalties:
             batches.append(EnvironmentBatch(env_id, x, {0: pred - resid},
                                             {0: np.zeros(4, bool)}))
         tape = T.Tape()
-        base = irm_baseline_penalty(model, TapeBinding(tape), batches).item()
+        base = irm_baseline_penalty(model, TapeBinding(tape),
+                                    batches)[0].item()
         tape2 = T.Tape()
-        gs = environment_gradients(model, TapeBinding(tape2), batches)
+        gs, _ = environment_gradients(model, TapeBinding(tape2), batches)
         norm = girm_norm_penalty(gs).item()
         assert norm > 0
         assert base == pytest.approx(norm, rel=1e-9)
