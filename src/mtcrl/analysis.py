@@ -12,7 +12,10 @@ import numpy as np
 
 from . import tensor as T
 from .model import MtlModel, TapeBinding
-from .regularizers import env_task_risk, module_correlation
+# env_task_risk is no longer called here, but perfbench/tracing.py wraps
+# ``analysis.env_task_risk``, so the name stays
+from .regularizers import (env_task_risk, environment_gradients,  # noqa: F401
+                           module_correlation)
 
 
 class AnalysisError(Exception):
@@ -104,25 +107,17 @@ def task_module_gradients(model: MtlModel, env_batches) -> TaskModuleGradients:
     Entry (t, i) is the gradient of environment risk for task t w.r.t. the
     routing weight of module i; the difference table flags modules that
     help on the training slice but not off it.  Signs are reported raw.
-    Each environment's table is one gradient of its summed risks w.r.t. its
-    own routing matrix: row t feeds only task t's risk.
+    Each environment's table is its routing gradient ``dA_e`` from
+    :func:`environment_gradients`, the one the invariance penalties use.
     """
     if len(env_batches) < 2:
         raise AnalysisError("need at least two environments")
-    binding = TapeBinding(T.Tape())
+    tape = T.Tape()
+    grads, _ = environment_gradients(model, TapeBinding(tape), env_batches)
     per_env = {}
-    for batch in env_batches:
-        with binding.tape.stop_recording():  # z depends on no routing row
-            z = model.encode(binding, batch.inputs)
-        a = model.routing.weights(binding)
-        total = None
-        for t in range(model.tasks):
-            risk = env_task_risk(model, binding, batch, t, z=z,
-                                 a_row=T.narrow(a, 0, t, 1))
-            total = risk if total is None else T.add(total, risk)
-        table = T.grad(total, [a])[0].data
-        T.check_finite(table, f"the routing gradients on '{batch.env_id}'")
-        per_env[batch.env_id] = table
+    for env_id, (table,) in grads.items():
+        T.check_finite(table, f"the routing gradients on '{env_id}'")
+        per_env[env_id] = table.data
     if "train" in per_env and "valid" in per_env:
         pair = ("train", "valid")
     else:

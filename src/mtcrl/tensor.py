@@ -15,6 +15,15 @@ Conventions:
   * one tape per training step, reset between steps;
   * nothing writes tensor data in place, so ``transpose`` returns a view.
 
+A tape holds its nodes, but a node refers to its tape weakly, and no
+backward rule closes over its own output: each node keeps its output
+array, and :func:`grad` hands the output tensor to the rule.  So the
+record is acyclic, and a dropped tape is freed by reference counting the
+moment its last reference goes, without the cycle collector.  The rule
+that follows: keep a tape referenced while its tensors are used.  An op
+on a tensor whose tape was dropped, or :func:`grad` of one, raises
+:class:`StaleTapeError`.
+
 :func:`grad` walks only the nodes between the output and the requested
 tensors, and tells each backward rule which parents need a gradient; a
 rule may return ``None`` for the others, so a constant operand (a data
@@ -32,6 +41,7 @@ every op and names the first one that produces a non-finite value.
 from __future__ import annotations
 
 import contextlib
+import weakref
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -104,24 +114,31 @@ class NotOnTapeError(TensorError):
 
 
 class Node:
-    """One recorded operation: kind, parent tensors, and a backward rule.
+    """One recorded operation: kind, parent tensors, output array and a
+    backward rule.
 
-    ``vjp(upstream, needs)`` returns one gradient per parent.  ``needs``
-    holds one flag per parent, false for constants and for parents no
-    requested gradient depends on; the rule may return ``None`` for those.
-    Parent node ids always precede ``nid`` because nodes are appended in
-    execution order.
+    ``vjp(out, upstream, needs)`` returns one gradient per parent, given
+    the node's output as a tensor on the tape.  ``needs`` holds one flag
+    per parent, false for constants and for parents no requested gradient
+    depends on; the rule may return ``None`` for those.  Parent node ids
+    always precede ``nid`` because nodes are appended in execution order.
+    ``tape`` is the owning tape, or ``None`` once it was dropped.
     """
 
-    __slots__ = ("nid", "op", "parents", "vjp", "tape", "generation")
+    __slots__ = ("nid", "op", "parents", "vjp", "out", "_tape", "generation")
 
-    def __init__(self, nid, op, parents, vjp, tape):
+    def __init__(self, nid, op, parents, vjp, out, tape):
         self.nid = nid
         self.op = op
         self.parents = parents
         self.vjp = vjp
-        self.tape = tape
+        self.out = out
+        self._tape = tape.ref
         self.generation = tape.generation
+
+    @property
+    def tape(self) -> "Tape | None":
+        return self._tape()
 
 
 class Tape:
@@ -131,14 +148,10 @@ class Tape:
         self.nodes: list[Node] = []
         self.generation = 0
         self.recording = True
+        self.ref = weakref.ref(self)
 
     def reset(self):
-        """Drop all nodes; tensors from before the reset become stale.
-
-        Dropping the rules first breaks the cycle of rules that hold their
-        own output (``tanh``), so nodes are freed without the cycle GC."""
-        for node in self.nodes:
-            node.vjp = None
+        """Drop all nodes; tensors from before the reset become stale."""
         self.nodes.clear()
         self.generation += 1
 
@@ -153,9 +166,10 @@ class Tape:
 
     def leaf(self, value) -> "Tensor":
         """Put an array on the tape as a leaf (no parents)."""
-        node = Node(len(self.nodes), "leaf", (), None, self)
+        data = np.asarray(value, dtype=np.float64)
+        node = Node(len(self.nodes), "leaf", (), None, data, self)
         self.nodes.append(node)
-        return Tensor(np.asarray(value, dtype=np.float64), node)
+        return Tensor(data, node)
 
 
 class Tensor:
@@ -193,16 +207,25 @@ def _lift(x) -> Tensor:
 def _tape_of(tensors: Iterable[Tensor]) -> Tape | None:
     tape = None
     for t in tensors:
-        if t.node is None:
-            continue
-        if t.node.generation != t.node.tape.generation:
-            raise StaleTapeError(
-                f"tensor from node {t.node.nid} predates a tape reset"
-            )
-        if tape is None:
-            tape = t.node.tape
-        elif tape is not t.node.tape:
-            raise TensorError("inputs live on different tapes")
+        if t.node is not None:
+            owner = _owner(t.node, "tensor")
+            if tape is None:
+                tape = owner
+            elif tape is not owner:
+                raise TensorError("inputs live on different tapes")
+    return tape
+
+
+def _owner(node: Node, what: str) -> Tape:
+    """The live tape of ``node``; :class:`StaleTapeError` names ``what``
+    when that tape was dropped or reset since the node was recorded."""
+    tape = node._tape()
+    if tape is None:
+        raise StaleTapeError(
+            f"{what} from node {node.nid} lives on a dropped tape; keep the "
+            "tape referenced while its tensors are used")
+    if node.generation != tape.generation:
+        raise StaleTapeError(f"{what} from node {node.nid} predates a tape reset")
     return tape
 
 
@@ -251,7 +274,7 @@ def _make(op: str, data: np.ndarray, parents: Sequence[Tensor],
     tape = _tape_of(parents)
     node = None
     if tape is not None and tape.recording:
-        node = Node(len(tape.nodes), op, tuple(parents), vjp, tape)
+        node = Node(len(tape.nodes), op, tuple(parents), vjp, data, tape)
         tape.nodes.append(node)
     if _anomaly:
         _check_op(data, op, node, parents)
@@ -293,7 +316,7 @@ def _unbroadcast(g: Tensor, shape: tuple) -> Tensor:
 def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
 
-    def vjp(g, needs):
+    def vjp(out, g, needs):
         return (_unbroadcast(g, a.shape) if needs[0] else None,
                 _unbroadcast(g, b.shape) if needs[1] else None)
 
@@ -304,7 +327,7 @@ def add(a, b) -> Tensor:
 def subtract(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
 
-    def vjp(g, needs):
+    def vjp(out, g, needs):
         return (_unbroadcast(g, a.shape) if needs[0] else None,
                 _unbroadcast(scale(g, -1.0), b.shape) if needs[1] else None)
 
@@ -315,7 +338,7 @@ def subtract(a, b) -> Tensor:
 def multiply(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
 
-    def vjp(g, needs):
+    def vjp(out, g, needs):
         return (
             _unbroadcast(multiply(g, b), a.shape) if needs[0] else None,
             _unbroadcast(multiply(g, a), b.shape) if needs[1] else None,
@@ -332,7 +355,7 @@ def matmul(a, b) -> Tensor:
             f"operation 'matmul': incompatible shapes {a.shape} @ {b.shape}"
         )
 
-    def vjp(g, needs):
+    def vjp(out, g, needs):
         return (matmul(g, transpose(b)) if needs[0] else None,
                 matmul(transpose(a), g) if needs[1] else None)
 
@@ -348,7 +371,7 @@ def transpose(a) -> Tensor:
             f"operation 'transpose': expected 2-d, got shape {a.shape}"
         )
 
-    def vjp(g, needs):
+    def vjp(out, g, needs):
         return (transpose(g),)
 
     return _make("transpose", a.data.T, (a,), vjp)
@@ -363,7 +386,7 @@ def reshape(a, shape) -> Tensor:
         )
     old = a.shape
 
-    def vjp(g, needs):
+    def vjp(out, g, needs):
         return (reshape(g, old),)
 
     return _make("reshape", a.data.reshape(shape), (a,), vjp)
@@ -373,7 +396,7 @@ def scale(a, c: float) -> Tensor:
     a = _lift(a)
     c = float(c)
 
-    def vjp(g, needs):
+    def vjp(out, g, needs):
         return (scale(g, c),)
 
     return _make("scale", a.data * c, (a,), vjp)
@@ -384,35 +407,27 @@ def sigmoid(a) -> Tensor:
     x = a.data
     data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    out_holder = []
 
-    def vjp(g, needs):
-        y = out_holder[0]
-        return (multiply(multiply(g, y), subtract(1.0, y)),)
+    def vjp(out, g, needs):
+        return (multiply(multiply(g, out), subtract(1.0, out)),)
 
-    out = _make("sigmoid", data, (a,), vjp)
-    out_holder.append(out)
-    return out
+    return _make("sigmoid", data, (a,), vjp)
 
 
 def tanh(a) -> Tensor:
     a = _lift(a)
-    out_holder = []
 
-    def vjp(g, needs):
-        y = out_holder[0]
-        return (multiply(g, subtract(1.0, square(y))),)
+    def vjp(out, g, needs):
+        return (multiply(g, subtract(1.0, square(out))),)
 
-    out = _make("tanh", np.tanh(a.data), (a,), vjp)
-    out_holder.append(out)
-    return out
+    return _make("tanh", np.tanh(a.data), (a,), vjp)
 
 
 def relu(a) -> Tensor:
     a = _lift(a)
     mask = Tensor((a.data > 0).astype(np.float64))  # subgradient at 0 is 0
 
-    def vjp(g, needs):
+    def vjp(out, g, needs):
         return (multiply(g, mask),)
 
     return _make("relu", np.maximum(a.data, 0.0), (a,), vjp)
@@ -420,16 +435,13 @@ def relu(a) -> Tensor:
 
 def exp(a) -> Tensor:
     a = _lift(a)
-    out_holder = []
 
-    def vjp(g, needs):
-        return (multiply(g, out_holder[0]),)
+    def vjp(out, g, needs):
+        return (multiply(g, out),)
 
     with np.errstate(over="ignore"):
         data = np.exp(a.data)
-    out = _make("exp", data, (a,), vjp)
-    out_holder.append(out)
-    return out
+    return _make("exp", data, (a,), vjp)
 
 
 def log(a) -> Tensor:
@@ -437,7 +449,7 @@ def log(a) -> Tensor:
     if np.any(a.data <= 0):
         raise DomainError("operation 'log': input has non-positive values")
 
-    def vjp(g, needs):
+    def vjp(out, g, needs):
         return (multiply(g, pow_const(a, -1.0)),)
 
     return _make("log", np.log(a.data), (a,), vjp)
@@ -446,7 +458,7 @@ def log(a) -> Tensor:
 def square(a) -> Tensor:
     a = _lift(a)
 
-    def vjp(g, needs):
+    def vjp(out, g, needs):
         return (scale(multiply(g, a), 2.0),)
 
     return _make("square", a.data * a.data, (a,), vjp)
@@ -460,7 +472,7 @@ def pow_const(a, p: float) -> Tensor:
     if p < 0 and np.any(a.data == 0):
         raise DomainError("operation 'pow': negative power of zero")
 
-    def vjp(g, needs):
+    def vjp(out, g, needs):
         return (scale(multiply(g, pow_const(a, p - 1.0)), p),)
 
     with np.errstate(over="ignore"):
@@ -472,7 +484,7 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _lift(a)
     in_shape = a.shape
 
-    def vjp(g, needs):
+    def vjp(out, g, needs):
         if axis is None:
             expand = g if g.data.ndim == a.data.ndim else reshape(g, (1,) * a.data.ndim)
         elif keepdims:
@@ -510,7 +522,7 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     )
     in_shape = a.shape
 
-    def vjp(g, needs):
+    def vjp(out, g, needs):
         return (scatter_narrow(g, axis, start, in_shape),)
 
     return _make("slice", a.data[key].copy(), (a,), vjp)
@@ -528,7 +540,7 @@ def scatter_narrow(g, axis: int, start: int, target_shape) -> Tensor:
     )
     data[key] = g.data
 
-    def vjp(up, needs):
+    def vjp(out, up, needs):
         return (narrow(up, axis, start, length),)
 
     return _make("scatter", data, (g,), vjp)
@@ -610,9 +622,7 @@ def grad(output: Tensor, wrt, create_graph: bool = False,
     """
     if output.node is None:
         raise NotOnTapeError("output is not on a tape")
-    tape = output.node.tape
-    if output.node.generation != tape.generation:
-        raise StaleTapeError("output predates a tape reset")
+    tape = _owner(output.node, "output")
     if output.size != 1:
         raise NonScalarOutputError(
             f"grad requires a scalar output, got shape {output.shape}"
@@ -642,8 +652,9 @@ def grad(output: Tensor, wrt, create_graph: bool = False,
             if not any(needs):
                 continue
             try:
+                out = Tensor(node.out, node)
                 for parent, need, pg in zip(node.parents, needs,
-                                            node.vjp(g, needs)):
+                                            node.vjp(out, g, needs)):
                     if not need:
                         continue
                     pid = parent.node.nid
@@ -690,8 +701,8 @@ def finite_diff_check(f, params, step: float = 1e-5, order: int = 1) -> float:
     base = [np.array(p, dtype=np.float64) for p in params]
 
     def build(values):
-        """Fresh leaves and the checked objective: ``f``, or at ``order=2``
-        its gradient-norm penalty."""
+        """A fresh tape, its leaves and the checked objective: ``f``, or at
+        ``order=2`` its gradient-norm penalty."""
         tape = Tape()
         leaves = [tape.leaf(v) for v in values]
         out = f(*leaves)
@@ -703,10 +714,10 @@ def finite_diff_check(f, params, step: float = 1e-5, order: int = 1) -> float:
                 pen = term if pen is None else add(pen, term)
             out = pen
             check_finite(out, "the gradient-norm penalty")
-        return leaves, out
+        return tape, leaves, out
 
-    # analytic side
-    leaves, out = build(base)
+    # analytic side; ``tape`` stays referenced while ``grad`` runs on it
+    tape, leaves, out = build(base)
     if out.node is None:
         # a constant objective (at order 2: ``f`` has a constant gradient)
         # has derivative exactly zero
@@ -724,8 +735,8 @@ def finite_diff_check(f, params, step: float = 1e-5, order: int = 1) -> float:
             minus = [a.copy() for a in base]
             plus[i].reshape(-1)[j] += step
             minus[i].reshape(-1)[j] -= step
-            numeric = (build(plus)[1].item()
-                       - build(minus)[1].item()) / (2 * step)
+            numeric = (build(plus)[2].item()
+                       - build(minus)[2].item()) / (2 * step)
             check_finite(numeric, "the finite difference")
             worst = max(worst, _rel_err(float(analytic[i].reshape(-1)[j]), numeric))
     return worst

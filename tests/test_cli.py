@@ -1,9 +1,13 @@
 import json
+import platform
+import statistics
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mtcrl import harness
 from mtcrl.cli import ablation_inputs, main, sweep_inputs, table2_inputs
 from mtcrl.data import SemSpec, read_container
 from mtcrl.harness import (ABLATION_VARIANTS, TrainConfig, config_from_dict,
@@ -200,6 +204,35 @@ class TestTrainCommand:
         assert main(["train", "--config", str(path), "--out", str(out)]) == 0
         assert (out / "checkpoint_task0.json").exists()
         assert (out / "checkpoint_task1.json").exists()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="sets glibc's allocator thresholds")
+    def test_steps_reuse_freed_heap_pages(self, tmp_path, monkeypatch):
+        # each step frees its tape, about 10 MB of arrays at this size; the
+        # next step must reuse those pages, not fault them in again
+        import resource  # POSIX only
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config_to_dict(
+            replace(mtcrl_sem_config(0), epochs=10))))
+        faults = []
+        step = harness.train_step
+
+        def counted(*args, **kwargs):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            parts = step(*args, **kwargs)
+            faults.append(
+                resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            return parts
+
+        monkeypatch.setattr(harness, "train_step", counted)
+        # the first run of a process still grows the heap by a few pages
+        # per step while its allocation pattern settles; measure the second
+        for _ in range(2):
+            faults.clear()
+            assert main(["train", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert len(faults) == 10
+        assert statistics.median(faults[1:]) == 0
 
 
 class TestGenData:

@@ -1,17 +1,19 @@
+import gc
 import json
 import os
 import subprocess
 import sys
 import textwrap
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mtcrl import harness
+from mtcrl import analysis, harness
 from mtcrl import tensor as T
-from mtcrl.data import EnvironmentBatch, SemSpec
+from mtcrl.data import EnvironmentBatch, SemSpec, gen_multisem
 from mtcrl.harness import (ABLATION_VARIANTS, Adam, HarnessError, Sgd,
                            TrainConfig, config_from_dict,
                            config_hash, config_to_dict, evaluate, run_ablation,
@@ -533,6 +535,39 @@ class TestTrain:
                                                   "irm-baseline"))
         rep, _ = train(cfg)
         assert rep.epochs_run == [2]
+
+
+def cyclic_garbage(run) -> int:
+    """Objects the cycle collector finds after ``run()`` with it off."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestAcyclicTape:
+    """Every tape a computation drops is freed by reference counting."""
+
+    @pytest.mark.parametrize("mode, variant", [
+        ("mtcrl", "var"), ("mtcrl", "norm"), ("mtcrl", "irm-baseline"),
+        ("stl", "var")])
+    def test_train_leaves_no_cyclic_garbage(self, mode, variant):
+        cfg = quick_config(mode=mode, epochs=3,
+                           weights=PenaltyWeights(girm_variant=variant))
+        assert cyclic_garbage(partial(train, cfg)) == 0
+
+    @pytest.mark.parametrize("name", ["factor_gradient", "module_corr_heatmap",
+                                      "task_module_gradients"])
+    def test_analysis_leaves_no_cyclic_garbage(self, name):
+        _, (model,) = train(quick_config(mode="mtcrl", epochs=2))
+        train_b, valid_b, _ = gen_multisem(QUICK_SPEC)
+        args = {"factor_gradient": (model, 0, train_b),
+                "module_corr_heatmap": (model, train_b),
+                "task_module_gradients": (model, [train_b, valid_b])}[name]
+        assert cyclic_garbage(partial(getattr(analysis, name), *args)) == 0
 
 
 def reference_fit(model, train_batch, env_batches, weights, cfg, stream_key):

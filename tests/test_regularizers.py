@@ -385,7 +385,8 @@ class TestGirmPenalties:
         batches = make_batches(seed=8)
         total, risks = irm_baseline_penalty(model, TapeBinding(T.Tape()),
                                             batches)
-        gs, _ = environment_gradients(model, TapeBinding(T.Tape()), batches)
+        tape = T.Tape()  # held: girm_norm_penalty builds on its gradients
+        gs, _ = environment_gradients(model, TapeBinding(tape), batches)
         routing_part = girm_norm_penalty(gs).item()
         with_heads, _ = environment_gradients(model, TapeBinding(T.Tape()),
                                               batches, heads=True)

@@ -71,7 +71,7 @@ class TestFirstOrderGradients:
             T.grad(out, [x])
 
     def test_reset_frees_nodes_without_the_cycle_collector(self):
-        # tanh's rule holds its own output: Tensor -> Node -> rule -> Tensor
+        # the node keeps tanh's output; a reset drops it with the node
         gc.disable()
         try:
             tape, (x,) = scalar_tape(np.ones((3, 2)))
@@ -79,6 +79,34 @@ class TestFirstOrderGradients:
             assert ref() is not None
             tape.reset()
             assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_op_on_a_dropped_tape_rejected(self):
+        tape, (x,) = scalar_tape(2.0)
+        del tape
+        with pytest.raises(T.StaleTapeError, match="dropped tape"):
+            T.square(x)
+
+    def test_grad_on_a_dropped_tape_rejected(self):
+        tape, (x,) = scalar_tape(2.0)
+        out = T.square(x)
+        del tape
+        with pytest.raises(T.StaleTapeError, match="dropped tape"):
+            T.grad(out, [x])
+
+    @pytest.mark.parametrize("op", ["sigmoid", "tanh", "exp"])
+    def test_dropped_tape_is_freed_without_the_cycle_collector(self, op):
+        # no rule closes over its output and no node holds its tape, so
+        # dropping the last reference frees the whole record at once
+        gc.disable()
+        try:
+            tape, (x,) = scalar_tape(np.ones((3, 2)))
+            out = getattr(T, op)(x)
+            T.grad(T.sum_(out), [x], create_graph=True)
+            refs = [weakref.ref(tape), weakref.ref(out.data)]
+            del tape, x, out
+            assert [r() for r in refs] == [None, None]
         finally:
             gc.enable()
 
