@@ -269,7 +269,7 @@ def cmd_analyze(args) -> int:
             "analyze reads the one model of an mtl-vanilla or mtcrl run; "
             "an stl run writes one K = 1 model per task")
     out = _out_dir(args)
-    train_b, valid_b, test_b, tasks, kinds, head_out = harness._dataset_bundle(cfg)
+    train_b, valid_b, _, tasks, kinds, head_out = harness._dataset_bundle(cfg)
     envs = harness.split_environments(train_b, valid_b)
     model = harness._build_model(cfg, train_b.input_dim, tasks, kinds,
                                  head_out, seed_key=100)
@@ -289,8 +289,7 @@ def cmd_analyze(args) -> int:
             )
     # a failing check is replayed to name the op; no epoch or step applies
     saliency, rho = harness._checked(None, None, partial(
-        harness.spurious_scores, model,
-        harness.rho_spur_batch(cfg, envs, test_b)))
+        harness.spurious_scores, model, envs[1]))
     analysis.write_matrix_csv(out / "saliency.csv", saliency,
                               row_labels=[f"task{t}" for t in range(tasks)])
     grads = harness._checked(None, None, partial(

@@ -22,14 +22,13 @@ import numpy as np
 
 from . import tensor as T
 from .analysis import factor_gradient, spurious_score, task_similarity
-from .data import (EnvironmentBatch, MnistPairSpec, SemSpec, compose_multimnist,
-                   gen_multisem, is_int, split_environments)
-from .model import ACTIVATIONS, MtlModel, TapeBinding
+from .data import (MnistPairSpec, SemSpec, compose_multimnist, gen_multisem,
+                   is_int, split_environments)
+from .model import MtlModel, TapeBinding
 from .regularizers import (PenaltyWeights, decorrelation_loss, env_task_risk,
                            girm_penalty, graph_reg_loss, task_loss)
 
 MODES = ("stl", "mtl-vanilla", "mtcrl")
-RHO_SPUR_SPLITS = ("train", "valid", "test")
 PLATEAU_TOL = 1e-6
 
 
@@ -44,18 +43,12 @@ class TrainConfig:
     k_modules: int = 8
     total_module_dim: int = 32
     encoder_hidden: tuple = (32,)
-    encoder_activation: str = "tanh"
-    head_hidden: tuple = ()
     weights: PenaltyWeights = field(default_factory=PenaltyWeights)
     optimizer: str = "adam"
     learning_rate: float = 1e-3
-    betas: tuple = (0.9, 0.999)
     epochs: int = 200
-    batch_size: int = 0          # 0 = full batch
     patience: int = 10
     seed: int = 0
-    stl_module_dim: int = 0      # 0 = total_module_dim // tasks
-    rho_spur_split: str = "valid"
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -63,11 +56,10 @@ class TrainConfig:
         if self.optimizer not in ("sgd", "adam"):
             raise HarnessError(f"unknown optimizer '{self.optimizer}'")
         for name in ("k_modules", "total_module_dim", "epochs", "patience",
-                     "batch_size", "stl_module_dim", "seed"):
+                     "seed"):
             if not is_int(getattr(self, name)):
                 raise HarnessError(f"{name} must be an integer")
-        for name in ("epochs", "patience", "batch_size", "stl_module_dim",
-                     "seed"):
+        for name in ("epochs", "patience", "seed"):
             if getattr(self, name) < 0:
                 raise HarnessError(f"{name} must be nonnegative")
         for name in ("k_modules", "total_module_dim"):
@@ -75,26 +67,12 @@ class TrainConfig:
                 raise HarnessError(f"{name} must be at least 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise HarnessError("learning_rate must be finite and nonnegative")
-        if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
-            raise HarnessError(f"betas must be two values in [0, 1), "
-                               f"got {self.betas!r}")
-        for name in ("encoder_hidden", "head_hidden"):
-            if not all(is_int(w) and w >= 1 for w in getattr(self, name)):
-                raise HarnessError(f"{name} widths must be integers of at "
-                                   "least 1")
+        if not all(is_int(w) and w >= 1 for w in self.encoder_hidden):
+            raise HarnessError("encoder_hidden widths must be integers of at "
+                               "least 1")
         if self.mode != "stl" and self.total_module_dim % self.k_modules:
             raise HarnessError(f"total_module_dim {self.total_module_dim} is "
                                f"not divisible by k_modules {self.k_modules}")
-        if self.encoder_activation not in ACTIVATIONS:
-            raise HarnessError(f"encoder_activation must be one of "
-                               f"{ACTIVATIONS}, got '{self.encoder_activation}'")
-        if self.rho_spur_split not in RHO_SPUR_SPLITS:
-            raise HarnessError(f"rho_spur_split must be one of {RHO_SPUR_SPLITS}"
-                               f", got '{self.rho_spur_split}'")
-        if (self.mode == "mtcrl" and self.batch_size == 1
-                and self.weights.lambda_decor > 0):
-            raise HarnessError("batch_size 1 gives one-row minibatches, but "
-                               "decorrelation (lambda_decor > 0) needs >= 2 rows")
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +135,10 @@ class Sgd:
 
 
 class Adam:
-    def __init__(self, lr: float, betas=(0.9, 0.999), eps: float = 1e-8):
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self.state = {}
 
@@ -180,7 +158,7 @@ class Adam:
 def make_optimizer(cfg: TrainConfig):
     if cfg.optimizer == "sgd":
         return Sgd(cfg.learning_rate)
-    return Adam(cfg.learning_rate, cfg.betas)
+    return Adam(cfg.learning_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -339,17 +317,10 @@ def _build_model(cfg: TrainConfig, input_dim, tasks, kinds, head_out,
         input_dim=input_dim,
         total_dim=total_dim if total_dim is not None else cfg.total_module_dim,
         encoder_hidden=cfg.encoder_hidden,
-        encoder_activation=cfg.encoder_activation,
-        head_hidden=cfg.head_hidden,
         head_out_dims=head_out,
         loss_kinds=kinds,
         rng=rng,
     )
-
-
-def rho_spur_batch(cfg: TrainConfig, envs, test_b):
-    """The split that saliency and rho_spur are scored on."""
-    return (*envs, test_b)[RHO_SPUR_SPLITS.index(cfg.rho_spur_split)]
 
 
 def spurious_scores(model: MtlModel, batch):
@@ -365,23 +336,6 @@ def effective_weights(cfg: TrainConfig) -> PenaltyWeights:
     if cfg.mode == "mtcrl":
         return cfg.weights
     return PenaltyWeights(0.0, 0.0, 0.0, 0.0, "none")
-
-
-def _minibatches(batch, batch_size: int, rng):
-    """One epoch's training batches: shuffled minibatches of ``batch``, or
-    ``batch`` itself when ``batch_size`` is 0 or covers it."""
-    if not batch_size or batch_size >= batch.n_samples:
-        yield batch
-        return
-    order = rng.permutation(batch.n_samples)
-    starts = list(range(0, order.size, batch_size))
-    if batch_size > 1 and order.size - starts[-1] == 1:
-        starts.pop()  # decorrelation needs two rows: fold the tail
-    for lo, hi in zip(starts, starts[1:] + [order.size]):
-        idx = order[lo:hi]
-        yield EnvironmentBatch("train", batch.inputs[idx],
-                               {t: y[idx] for t, y in batch.labels.items()},
-                               batch.causal_masks)
 
 
 def _checked(epoch: int | None, step: int | None, run, replay=None):
@@ -401,33 +355,30 @@ def _checked(epoch: int | None, step: int | None, run, replay=None):
         raise
 
 
-def _fit(model, train_batch, env_batches, weights, cfg, stream_key):
-    """Train ``model`` for up to ``cfg.epochs`` epochs with plateau stopping.
+def _fit(model, env_batches, weights, cfg):
+    """Train ``model`` on the full ``train`` batch of ``env_batches``
+    (``[train, valid]``) for up to ``cfg.epochs`` epochs with plateau
+    stopping.
 
     Epoch e's curve entry holds the train and valid risks of the
-    parameters its last step left.  In full-batch training, step e + 1's
-    forward pass runs at those parameters: its task risks are the train
-    risks, and a girm penalty builds the valid risks.  So ``evaluate`` runs
-    only where no later step stands in: at the last epoch, after every
-    minibatch epoch, on the valid split when the step has no penalty, and
-    at epochs whose plateau check can stop the fit (``bad == patience``),
-    since a stopped fit takes no further step.
+    parameters its step left.  Step e + 1's forward pass runs at those
+    parameters: its task risks are the train risks, and a girm penalty
+    builds the valid risks.  So ``evaluate`` runs only where no later step
+    stands in: at the last epoch, on the valid split when the step has no
+    penalty, and at epochs whose plateau check can stop the fit
+    (``bad == patience``), since a stopped fit takes no further step.
 
     Returns the two curves, the epochs run, the evaluations of the final
     parameters on train and valid, and ``(epoch, step)`` of the last step
     (``(None, None)`` when no epoch ran).  A non-finite step or evaluation
-    raises :class:`T.NonFiniteError` with the epoch and the step (counted
-    from 0 over the fit; an evaluation names the step whose update it
-    evaluates)."""
+    raises :class:`T.NonFiniteError` with the epoch and the step (one step
+    per epoch; an evaluation names the step whose update it evaluates)."""
+    train_batch, valid_batch = env_batches
     opt = make_optimizer(cfg)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stream_key]))
     tape = T.Tape()
-    valid_batch = next(b for b in env_batches if b.env_id == "valid")
     train_curve, valid_curve = [], []
     best = np.inf
     bad = 0
-    epochs_run = 0
-    step = 0
     at = (None, None)   # (epoch, step) of the last step
     owed = False        # the last epoch's risks come from the next step
     owed_valid = None   # ... except its valid risks, when evaluated
@@ -451,23 +402,17 @@ def _fit(model, train_batch, env_batches, weights, cfg, stream_key):
                 for b in (train_batch, valid_batch)]
 
     for epoch in range(cfg.epochs):
-        for batch in _minibatches(train_batch, cfg.batch_size, rng):
-            # the parameters are unchanged when a step fails, so the replay
-            # recomputes the same gradients
-            parts = _checked(epoch, step,
-                             partial(train_step, model, batch, env_batches,
-                                     weights, opt, tape=tape),
-                             partial(step_gradients, model, batch,
-                                     env_batches, weights, tape=tape))
-            step += 1
-        at = (epoch, step - 1)
+        at = (epoch, epoch)
+        # the parameters are unchanged when a step fails, so the replay
+        # recomputes the same gradients
+        parts = _checked(*at,
+                         partial(train_step, model, train_batch, env_batches,
+                                 weights, opt, tape=tape),
+                         partial(step_gradients, model, train_batch,
+                                 env_batches, weights, tape=tape))
         if owed:  # bad < patience before this check, so it cannot stop
             stops(parts["task_risks"], parts.get("valid_risks", owed_valid))
-        epochs_run += 1
-        # a step on the whole train split (``_minibatches`` yields it
-        # unsplit) computes these parameters' train risks
-        owed = (batch is train_batch and epoch + 1 < cfg.epochs
-                and bad < cfg.patience)
+        owed = epoch + 1 < cfg.epochs and bad < cfg.patience
         if not owed:
             final = evaluations()
             if stops(*(e["risks"] for e in final)):
@@ -475,7 +420,10 @@ def _fit(model, train_batch, env_batches, weights, cfg, stream_key):
         elif "valid_risks" not in parts:
             owed_valid = _checked(*at, partial(evaluate, model,
                                                valid_batch))["risks"]
-    return train_curve, valid_curve, epochs_run, final or evaluations(), at
+    # every epoch run appended its risks: the last one (or the stopping
+    # one) was evaluated, each earlier one was owed and filled in
+    return (train_curve, valid_curve, len(train_curve),
+            final or evaluations(), at)
 
 
 def train(cfg: TrainConfig):
@@ -483,7 +431,8 @@ def train(cfg: TrainConfig):
 
     STL fits one single-module model per task; the other modes fit one
     model for all tasks.  Either way each fit fills its tasks' columns of
-    one report.  The report is reproducible bit for bit from
+    one report; saliency and rho_spur are scored on the valid
+    environment.  The report is reproducible bit for bit from
     ``(config, seed)`` at a fixed BLAS thread count; the thread count can
     change the last digit of a reduction.  Returns ``(report, models)``,
     the models in fit order.
@@ -492,29 +441,27 @@ def train(cfg: TrainConfig):
     train_b, valid_b, test_b, tasks, kinds, head_out = _dataset_bundle(cfg)
     envs = split_environments(train_b, valid_b)
     weights = effective_weights(cfg)
-    rho_batch = rho_spur_batch(cfg, envs, test_b)
 
-    # per fit: (model, environment views, test view, rho view, stream key)
+    # per fit: (model, [train, valid] views, test view)
     if cfg.mode == "stl":
-        share = cfg.stl_module_dim or max(cfg.total_module_dim // tasks, 1)
+        share = max(cfg.total_module_dim // tasks, 1)
         fits = [(_build_model(cfg, train_b.input_dim, 1, [kinds[t]],
                               [head_out[t]], seed_key=100 + t, k=1,
                               total_dim=share),
-                 [e.task_view(t) for e in envs], test_b.task_view(t),
-                 rho_batch.task_view(t), 200 + t)
+                 [e.task_view(t) for e in envs], test_b.task_view(t))
                 for t in range(tasks)]
     else:
         fits = [(_build_model(cfg, train_b.input_dim, tasks, kinds, head_out,
                               seed_key=100),
-                 envs, test_b, rho_batch, 200)]
+                 envs, test_b)]
 
     cols = {name: [] for name in (
         "epochs_run", "train_risk_curve", "valid_risk_curve", "acc_train",
         "acc_val", "risk_test", "acc_test", "rho_spur", "saliency",
         "routing")}
-    for model, fit_envs, test_view, rho_view, stream_key in fits:
-        tr, va, ep, (train_eval, valid_eval), at = _fit(
-            model, fit_envs[0], fit_envs, weights, cfg, stream_key=stream_key)
+    for model, fit_envs, test_view in fits:
+        tr, va, ep, (train_eval, valid_eval), at = _fit(model, fit_envs,
+                                                        weights, cfg)
         test_eval = _checked(*at, partial(evaluate, model, test_view))
         cols["epochs_run"].append(ep)
         cols["acc_train"] += train_eval["accuracy"]
@@ -526,7 +473,7 @@ def train(cfg: TrainConfig):
             cols["train_risk_curve"].append([row[t] for row in tr])
             cols["valid_risk_curve"].append([row[t] for row in va])
         saliency, rho = _checked(*at, partial(spurious_scores, model,
-                                              rho_view))
+                                              fit_envs[1]))
         cols["saliency"] += saliency.tolist()
         cols["rho_spur"] += rho
     report = RunReport(

@@ -18,7 +18,6 @@ import numpy as np
 from . import tensor as T
 
 LOSS_KINDS = ("mse", "xent")
-ACTIVATIONS = ("tanh", "relu", "linear")
 
 
 class ModelError(Exception):
@@ -68,20 +67,16 @@ def _init_weight(rng, fan_in: int, shape) -> np.ndarray:
 
 
 class Mlp:
-    """Feed-forward stack; activation applied between layers, not after the last.
+    """Feed-forward stack; tanh between layers, none after the last.
 
     ``copies`` runs that many stacks side by side: the first layer holds
     their columns next to each other, and later layers are block-diagonal
     under a constant mask."""
 
-    def __init__(self, name: str, widths, activation: str, rng,
-                 copies: int = 1):
-        if activation not in ACTIVATIONS:
-            raise ModelError(f"unknown activation '{activation}'")
+    def __init__(self, name: str, widths, rng, copies: int = 1):
         if len(widths) < 2:
             raise ModelError("an MLP needs at least input and output widths")
         self.widths = tuple(int(w) for w in widths)
-        self.activation = activation
         self.layers, self.masks = [], []
         fans = list(zip(self.widths[:-1], self.widths[1:]))
         for i, (fan_in, fan_out) in enumerate(fans):
@@ -116,10 +111,7 @@ class Mlp:
             weight = get(w) if mask is None else T.multiply(get(w), mask)
             h = T.add(T.matmul(h, weight), get(b))
             if i < last:
-                if self.activation == "tanh":
-                    h = T.tanh(h)
-                elif self.activation == "relu":
-                    h = T.relu(h)
+                h = T.tanh(h)
         return h
 
     def parameters(self) -> list[Parameter]:
@@ -131,8 +123,7 @@ class ModuleBank:
     one :class:`Mlp` of K copies.  Encodings are B x d; module i owns
     columns [i*d/K, (i+1)*d/K)."""
 
-    def __init__(self, k: int, input_dim: int, total_dim: int, hidden,
-                 activation: str, rng):
+    def __init__(self, k: int, input_dim: int, total_dim: int, hidden, rng):
         if k < 1:
             raise ModelError("need at least one module")
         if total_dim % k != 0:
@@ -142,8 +133,8 @@ class ModuleBank:
         self.k = k
         self.input_dim = int(input_dim)
         self.module_dim = total_dim // k
-        self.net = Mlp("bank", (input_dim, *hidden, self.module_dim),
-                       activation, rng, copies=k)
+        self.net = Mlp("bank", (input_dim, *hidden, self.module_dim), rng,
+                       copies=k)
         # routing row -> per-column weights (K x d); column -> place in module
         self._expand = T.Tensor(np.kron(np.eye(k), np.ones((1, self.module_dim))))
         self._fold = T.Tensor(np.kron(np.ones((k, 1)), np.eye(self.module_dim)))
@@ -194,24 +185,20 @@ class RoutingGraph:
 
 
 class MtlModel:
-    """Module bank + routing graph + per-task heads."""
+    """Module bank + routing graph + per-task linear heads."""
 
     def __init__(self, tasks: int, k: int, input_dim: int, total_dim: int,
-                 encoder_hidden, encoder_activation: str, head_hidden,
-                 head_out_dims, loss_kinds, rng):
+                 encoder_hidden, head_out_dims, loss_kinds, rng):
         self.tasks = int(tasks)
-        self.bank = ModuleBank(k, input_dim, total_dim, encoder_hidden,
-                               encoder_activation, rng)
+        self.bank = ModuleBank(k, input_dim, total_dim, encoder_hidden, rng)
         self.routing = RoutingGraph(tasks, k)
         for kind in loss_kinds:
             if kind not in LOSS_KINDS:
                 raise ModelError(f"unknown loss kind '{kind}'")
         self.loss_kinds = tuple(loss_kinds)
-        self.heads = [
-            Mlp(f"head{t}", (self.bank.module_dim, *head_hidden, head_out_dims[t]),
-                encoder_activation if head_hidden else "linear", rng)
-            for t in range(tasks)
-        ]
+        self.heads = [Mlp(f"head{t}", (self.bank.module_dim, head_out_dims[t]),
+                          rng)
+                      for t in range(tasks)]
 
     @property
     def k(self):
@@ -283,15 +270,21 @@ class MtlModel:
 
 
 def save_checkpoint(path, model: MtlModel, config_hash: str):
-    payload = {
-        "config_hash": config_hash,
-        "arrays": {
-            name: {"shape": list(val.shape), "data": val.ravel().tolist()}
-            for name, val in model.state_dict().items()
-        },
-    }
+    """Write ``{"config_hash", "arrays": {name: {"shape", "data"}}}`` as
+    JSON, 4096 values at a time, so the weights are never all Python floats
+    at once; the bytes equal ``json.dump`` of the whole payload."""
+    dumps = json.dumps
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(f'{{"config_hash": {dumps(config_hash)}, "arrays": {{')
+        for i, (name, val) in enumerate(model.state_dict().items()):
+            fh.write(f'{", " if i else ""}{dumps(name)}: '
+                     f'{{"shape": {dumps(list(val.shape))}, "data": [')
+            flat = val.ravel()
+            for lo in range(0, flat.size, 4096):
+                values = dumps(flat[lo:lo + 4096].tolist())[1:-1]
+                fh.write(f'{", " if lo else ""}{values}')
+            fh.write("]}")
+        fh.write("}}")
 
 
 def load_checkpoint(path, model: MtlModel) -> str:

@@ -56,7 +56,6 @@ def shared_bottom_config(seed: int = 0, tasks: int = 2) -> TrainConfig:
         k_modules=1,
         total_module_dim=16,
         encoder_hidden=(16,),
-        encoder_activation="tanh",
         epochs=100,
         learning_rate=1e-3,
         seed=seed,
@@ -72,7 +71,6 @@ def mtcrl_sem_config(seed: int = 0) -> TrainConfig:
         k_modules=8,
         total_module_dim=32,
         encoder_hidden=(16,),
-        encoder_activation="tanh",
         weights=DESK_PENALTIES,
         epochs=400,
         learning_rate=1e-2,

@@ -405,8 +405,8 @@ def scale(a, c: float) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = _lift(a)
     x = a.data
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def vjp(out, g, needs):
         return (multiply(multiply(g, out), subtract(1.0, out)),)
@@ -421,16 +421,6 @@ def tanh(a) -> Tensor:
         return (multiply(g, subtract(1.0, square(out))),)
 
     return _make("tanh", np.tanh(a.data), (a,), vjp)
-
-
-def relu(a) -> Tensor:
-    a = _lift(a)
-    mask = Tensor((a.data > 0).astype(np.float64))  # subgradient at 0 is 0
-
-    def vjp(out, g, needs):
-        return (multiply(g, mask),)
-
-    return _make("relu", np.maximum(a.data, 0.0), (a,), vjp)
 
 
 def exp(a) -> Tensor:

@@ -12,11 +12,11 @@ from mtcrl.model import MtlModel, TapeBinding
 
 
 def make_model(tasks=2, k=2, input_dim=4, total_dim=4, seed=0, kinds=None,
-               head_out=None, hidden=(6,), activation="tanh"):
+               head_out=None, hidden=(6,)):
     rng = np.random.default_rng(seed)
     return MtlModel(tasks=tasks, k=k, input_dim=input_dim, total_dim=total_dim,
-                    encoder_hidden=hidden, encoder_activation=activation,
-                    head_hidden=(), head_out_dims=head_out or [1] * tasks,
+                    encoder_hidden=hidden,
+                    head_out_dims=head_out or [1] * tasks,
                     loss_kinds=kinds or ["mse"] * tasks, rng=rng)
 
 
@@ -39,8 +39,7 @@ class TestFactorGradient:
         rng = np.random.default_rng(1)
         w = np.array([0.7, -1.3, 0.0, 2.1])
         model = MtlModel(tasks=1, k=1, input_dim=4, total_dim=4,
-                         encoder_hidden=(), encoder_activation="linear",
-                         head_hidden=(), head_out_dims=[1],
+                         encoder_hidden=(), head_out_dims=[1],
                          loss_kinds=["mse"], rng=rng)
         model.load_state({**model.state_dict(),
                           "module0.layer0.weight": np.eye(4),

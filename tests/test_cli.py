@@ -12,9 +12,11 @@ from mtcrl.cli import ablation_inputs, main, sweep_inputs, table2_inputs
 from mtcrl.data import SemSpec, read_container
 from mtcrl.harness import (ABLATION_VARIANTS, TrainConfig, config_from_dict,
                            config_hash, config_to_dict)
+from mtcrl.model import load_checkpoint
 from mtcrl.presets import desk_sem_spec, mtcrl_sem_config, shared_bottom_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def quick_config_dict(**overrides):
@@ -30,6 +32,10 @@ def quick_config_dict(**overrides):
 
 NAN = float("nan")
 QUICK_DATASET = quick_config_dict()["dataset"]
+# retired settings, each at the one value every shipped config held
+RETIRED = {"encoder_activation": "tanh", "head_hidden": [],
+           "betas": [0.9, 0.999], "batch_size": 0, "stl_module_dim": 0,
+           "rho_spur_split": "valid"}
 
 
 @pytest.fixture
@@ -86,27 +92,28 @@ class TestUsageErrors:
         ("train", quick_config_dict(k_modules=3)),
         ("train", quick_config_dict(k_modules=0)),
         ("train", quick_config_dict(total_module_dim=0)),
-        ("train", quick_config_dict(encoder_activation="gelu")),
-        ("train", quick_config_dict(batch_size=-5)),
+        ("train", quick_config_dict(optimizer="rmsprop")),
+        ("train", quick_config_dict(patience=-5)),
         ("train", quick_config_dict(learning_rate=-1)),
         ("table2", {"base": {"mode": "stl", "k_modules": 3}}),
         ("sweep-tasks", {"base": {"mode": "stl", "k_modules": 3}}),
         ("ablate", {"base": {"mode": "stl", "k_modules": 3}}),
-        ("train", quick_config_dict(mode="mtcrl", batch_size=1)),
+        ("train", quick_config_dict(mode="finetune")),
         *[("train", {"dataset": {split: 1}})
           for split in ("n_train", "n_valid", "n_test")],
         *[("gen-data", {"kind": "multimnist", "pairs_per_class_pair": n})
           for n in (0, -1)],
-        ("ablate", {"base": {"mode": "mtl-vanilla", "batch_size": 1}}),
+        ("ablate", {"base": {"mode": "mtl-vanilla", "patience": -1}}),
         *[("train", quick_config_dict(mode="mtcrl", weights={name: NAN}))
           for name in ("lambda_girm", "lambda_decor")],
         *[("train", quick_config_dict(learning_rate=lr))
           for lr in (float("inf"), NAN)],
-        *[("train", quick_config_dict(betas=betas))
-          for betas in ([1.0, 0.999], [0.9, 0.999, 0.99], [-0.5, 0.999])],
+        *[("train", quick_config_dict(**{name: value}))
+          for name, value in (("k_modules", 1.5), ("patience", True),
+                              ("total_module_dim", "8"))],
         ("train", quick_config_dict(encoder_hidden=[-3])),
         ("train", quick_config_dict(encoder_hidden=[0])),
-        ("train", quick_config_dict(head_hidden=[-1])),
+        ("train", quick_config_dict(encoder_hidden=[2.5])),
         *[("train", quick_config_dict(dataset={**QUICK_DATASET, name: value}))
           for name, value in (("nuisance_dims", -2), ("sigma", NAN),
                               ("mu_scale", NAN))],
@@ -133,13 +140,18 @@ class TestUsageErrors:
         assert "bad config" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_rho_spur_split_exits_two_before_training(self, tmp_path,
-                                                          capsys):
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("key", RETIRED)
+    def test_retired_key_exits_two_and_is_named(self, key, command, tmp_path,
+                                                capsys):
+        config = quick_config_dict(**{key: RETIRED[key]})
+        payload = config if command == "train" else {"base": config}
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(quick_config_dict(rho_spur_split="tset")))
+        path.write_text(json.dumps(payload))
         out = tmp_path / "o"
-        assert main(["train", "--config", str(path), "--out", str(out)]) == 2
-        assert "rho_spur_split" in capsys.readouterr().err
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config keys" in err and key in err
         assert not out.exists()
 
     def test_unknown_ablation_variant(self, tmp_path, capsys):
@@ -326,19 +338,26 @@ class TestAnalyzeCommand:
                      "analyze_summary.json"):
             assert (out / name).exists(), name
 
-    def test_rho_spur_on_the_configured_split(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(quick_config_dict(rho_spur_split="test")))
+    def test_train_and_analyze_score_rho_spur_on_valid(self, config_file,
+                                                        tmp_path):
         run_out, out = tmp_path / "run", tmp_path / "analysis"
-        assert main(["train", "--config", str(path),
+        assert main(["train", "--config", config_file,
                      "--out", str(run_out)]) == 0
-        assert main(["analyze", "--config", str(path),
+        assert main(["analyze", "--config", config_file,
                      "--checkpoint", str(run_out / "checkpoint.json"),
                      "--out", str(out)]) == 0
         report = json.loads((run_out / "report.json").read_text())
         summary = json.loads((out / "analyze_summary.json").read_text())
         assert [summary["rho_spur"][str(t)] for t in range(2)] \
             == report["rho_spur"]
+        cfg = config_from_dict(quick_config_dict())
+        train_b, valid_b, _, tasks, kinds, head_out = \
+            harness._dataset_bundle(cfg)
+        model = harness._build_model(cfg, train_b.input_dim, tasks, kinds,
+                                     head_out, seed_key=100)
+        load_checkpoint(run_out / "checkpoint.json", model)
+        _, rho = harness.spurious_scores(model, valid_b)
+        assert rho == report["rho_spur"]
 
     def test_stl_run_exits_two(self, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -430,6 +449,14 @@ class TestShippedConfigs:
         assert base == mtcrl_sem_config(0)
         assert seeds == [0, 1, 2, 3, 4]
         assert variants == list(ABLATION_VARIANTS)
+
+    def test_readme_config_block_is_the_mtcrl_preset(self):
+        text = README.read_text()
+        section = text[text.index("### Config format"):]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = config_from_dict(json.loads(block))
+        preset = mtcrl_sem_config(0)
+        assert replace(cfg, dataset=preset.dataset) == preset
 
     @pytest.mark.parametrize("command, name, outputs", [
         ("table2", "table2", ("table2.csv", "saliency_stl_sem0.csv")),

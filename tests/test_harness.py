@@ -38,8 +38,7 @@ def quick_config(**overrides):
 def tiny_model(tasks=2, seed=0):
     rng = np.random.default_rng(seed)
     return MtlModel(tasks=tasks, k=2, input_dim=4, total_dim=4,
-                    encoder_hidden=(5,), encoder_activation="tanh",
-                    head_hidden=(), head_out_dims=[1] * tasks,
+                    encoder_hidden=(5,), head_out_dims=[1] * tasks,
                     loss_kinds=["mse"] * tasks, rng=rng)
 
 
@@ -136,8 +135,7 @@ class TestTrainStep:
         # reference: grad(loss) + lambda * grad(penalty), two passes over
         # one tape; step_gradients takes one pass over their weighted sum
         model = MtlModel(tasks=2, k=k, input_dim=4, total_dim=16,
-                         encoder_hidden=(5,), encoder_activation="tanh",
-                         head_hidden=(), head_out_dims=[1, 1],
+                         encoder_hidden=(5,), head_out_dims=[1, 1],
                          loss_kinds=["mse", "mse"],
                          rng=np.random.default_rng(7))
         train_b, valid_b = tiny_batches(seed=7)
@@ -175,8 +173,7 @@ class TestTrainStep:
                             bank._fold)
 
         model = MtlModel(tasks=2, k=k, input_dim=4, total_dim=16,
-                         encoder_hidden=(5,), encoder_activation="tanh",
-                         head_hidden=(), head_out_dims=[1, 1],
+                         encoder_hidden=(5,), head_out_dims=[1, 1],
                          loss_kinds=["mse", "mse"],
                          rng=np.random.default_rng(8))
         batches = tiny_batches(seed=8)
@@ -196,8 +193,7 @@ class TestTrainStep:
         # one-parameter linear model: loss = (w*x - y)^2, by-hand update
         rng = np.random.default_rng(0)
         model = MtlModel(tasks=1, k=1, input_dim=1, total_dim=1,
-                         encoder_hidden=(), encoder_activation="linear",
-                         head_hidden=(), head_out_dims=[1],
+                         encoder_hidden=(), head_out_dims=[1],
                          loss_kinds=["mse"], rng=rng)
         model.load_state({"module0.layer0.weight": np.array([[1.0]]),
                           "module0.layer0.bias": np.zeros((1, 1)),
@@ -242,8 +238,7 @@ class TestTrainStep:
             from mtcrl.regularizers import PenaltyWeights
             assert False, "asserts are live"
             model = MtlModel(tasks=1, k=2, input_dim=2, total_dim=2,
-                             encoder_hidden=(), encoder_activation="tanh",
-                             head_hidden=(), head_out_dims=[1],
+                             encoder_hidden=(), head_out_dims=[1],
                              loss_kinds=["mse"], rng=np.random.default_rng(0))
             batch = EnvironmentBatch("valid", np.ones((3, 2)),
                                      {0: np.ones(3)}, {0: np.ones(2, bool)})
@@ -282,7 +277,6 @@ class TestTrainStep:
             for k in (2, 8):
                 model = MtlModel(tasks=2, k=k, input_dim=4, total_dim=16,
                                  encoder_hidden=(5,),
-                                 encoder_activation="tanh", head_hidden=(),
                                  head_out_dims=[1, 1],
                                  loss_kinds=["mse", "mse"],
                                  rng=np.random.default_rng(6))
@@ -385,8 +379,7 @@ class TestFiniteness:
         # z ~ 1e210 and head weights ~ 1e-100: the loss (~1e220) is finite,
         # the head weights' gradient (~1e320) is not
         model = MtlModel(tasks=2, k=2, input_dim=4, total_dim=4,
-                         encoder_hidden=(), encoder_activation="linear",
-                         head_hidden=(), head_out_dims=[1, 1],
+                         encoder_hidden=(), head_out_dims=[1, 1],
                          loss_kinds=["mse", "mse"],
                          rng=np.random.default_rng(4))
         for p in model.parameters():
@@ -500,30 +493,6 @@ class TestTrain:
         assert np.array(rep.routing).shape == (3, k)
         assert np.array(rep.similarity).shape == (3, 3)
 
-    def test_minibatch_mode_runs(self):
-        rep, _ = train(quick_config(batch_size=32, epochs=2))
-        assert rep.epochs_run == [2]
-
-    def test_one_row_tail_joins_the_minibatch_before_it(self, monkeypatch):
-        # 120 = 17 * 7 + 1; decorrelation would fail on a one-row batch
-        sizes, step = [], harness.train_step
-
-        def counted(model, batch, *args, **kwargs):
-            sizes.append(batch.n_samples)
-            return step(model, batch, *args, **kwargs)
-
-        monkeypatch.setattr(harness, "train_step", counted)
-        rep, _ = train(quick_config(mode="mtcrl", batch_size=7, epochs=1))
-        assert rep.epochs_run == [1]
-        assert sizes == [7] * 16 + [8]
-
-    def test_batch_size_one_rejected_with_decorrelation(self):
-        with pytest.raises(HarnessError, match="batch_size 1"):
-            quick_config(mode="mtcrl", batch_size=1)
-        quick_config(mode="mtcrl", batch_size=1,
-                     weights=PenaltyWeights(0.0, 0.01, 0.1, 5.0, "var"))
-        quick_config(mode="mtl-vanilla", batch_size=1)
-
     def test_plateau_early_stop(self):
         cfg = quick_config(epochs=60, learning_rate=0.0, patience=3)
         rep, _ = train(cfg)
@@ -570,18 +539,16 @@ class TestAcyclicTape:
         assert cyclic_garbage(partial(getattr(analysis, name), *args)) == 0
 
 
-def reference_fit(model, train_batch, env_batches, weights, cfg, stream_key):
+def reference_fit(model, env_batches, weights, cfg):
     """The fit loop that evaluates train and valid after every epoch, with
     ``harness._fit``'s return shape."""
     opt = harness.make_optimizer(cfg)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stream_key]))
     tape = T.Tape()
-    valid_batch = next(b for b in env_batches if b.env_id == "valid")
+    train_batch, valid_batch = env_batches
     train_curve, valid_curve = [], []
     best, bad, epochs_run = np.inf, 0, 0
     for _ in range(cfg.epochs):
-        for batch in harness._minibatches(train_batch, cfg.batch_size, rng):
-            train_step(model, batch, env_batches, weights, opt, tape=tape)
+        train_step(model, train_batch, env_batches, weights, opt, tape=tape)
         epochs_run += 1
         train_curve.append(evaluate(model, train_batch)["risks"])
         valid_curve.append(evaluate(model, valid_batch)["risks"])
@@ -604,13 +571,11 @@ FIT_CASES = {
     "irm-baseline": dict(mode="mtcrl", weights=MTCRL_WEIGHTS["irm-baseline"]),
     "mtl-vanilla": dict(mode="mtl-vanilla"),
     "stl": dict(mode="stl"),
-    "var-minibatch": dict(mode="mtcrl", weights=MTCRL_WEIGHTS["var"],
-                          batch_size=50),
 }
 
 
 class TestDeferredRisks:
-    """Full-batch epochs take their risks from the next step's forward pass
+    """Epochs take their risks from the next step's forward pass
     instead of from ``evaluate``; the curves must not change."""
 
     @pytest.mark.parametrize("case", FIT_CASES)
@@ -665,8 +630,7 @@ class TestEvaluate:
         classes = 1 if kind == "mse" else 3
         for seed, variant in enumerate(("var", "norm", "irm-baseline")):
             model = MtlModel(tasks=3, k=2, input_dim=4, total_dim=8,
-                             encoder_hidden=(5,), encoder_activation="tanh",
-                             head_hidden=(), head_out_dims=[classes] * 3,
+                             encoder_hidden=(5,), head_out_dims=[classes] * 3,
                              loss_kinds=[kind] * 3,
                              rng=np.random.default_rng(seed))
             batches = tiny_batches(seed=seed, n=150, tasks=3)
@@ -704,8 +668,7 @@ class TestMultiMnistEndToEnd:
         spec = MnistPairSpec(images_path=str(ipath), labels_path=str(lpath),
                              pairs_per_class_pair=2)
         cfg = TrainConfig(dataset=spec, mode="mtcrl", k_modules=2,
-                          total_module_dim=8, encoder_hidden=(8,),
-                          encoder_activation="relu", epochs=3,
+                          total_module_dim=8, encoder_hidden=(8,), epochs=3,
                           learning_rate=1e-2, seed=0,
                           weights=PenaltyWeights(0.5, 0.01, 0.1, 5.0, "var"))
         rep, _ = train(cfg)

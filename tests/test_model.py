@@ -1,10 +1,11 @@
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mtcrl import tensor as T
-from mtcrl.model import (Mlp, ModelError, MtlModel, TapeBinding, UnknownTaskError,
+from mtcrl.model import (ModelError, MtlModel, TapeBinding, UnknownTaskError,
                          RoutingGraph, load_checkpoint, save_checkpoint)
 from mtcrl.oracles import BayesParams, bayes_posterior
 
@@ -12,11 +13,11 @@ DATA = Path(__file__).parent / "data"
 
 
 def make_model(tasks=2, k=4, input_dim=6, total_dim=8, hidden=(5,), seed=0,
-               head_out=None, kinds=None, activation="tanh"):
+               head_out=None, kinds=None):
     rng = np.random.default_rng(seed)
     return MtlModel(tasks=tasks, k=k, input_dim=input_dim, total_dim=total_dim,
-                    encoder_hidden=hidden, encoder_activation=activation,
-                    head_hidden=(), head_out_dims=head_out or [1] * tasks,
+                    encoder_hidden=hidden,
+                    head_out_dims=head_out or [1] * tasks,
                     loss_kinds=kinds or ["mse"] * tasks, rng=rng)
 
 
@@ -55,14 +56,12 @@ class TestEncode:
         with pytest.raises(ModelError, match="divisible"):
             make_model(k=3, total_dim=8)
 
-    @pytest.mark.parametrize("activation", ["tanh", "relu"])
     @pytest.mark.parametrize("hidden", [(), (5,)])
     @pytest.mark.parametrize("k", [1, 2, 8])
-    def test_blocks_match_per_module_reference(self, k, hidden, activation):
-        # each module's columns equal its own network, run from the
+    def test_blocks_match_per_module_reference(self, k, hidden):
+        # each module's columns equal its own tanh network, run from the
         # module's checkpoint arrays
-        model = make_model(k=k, total_dim=2 * k, hidden=hidden,
-                           activation=activation, seed=k)
+        model = make_model(k=k, total_dim=2 * k, hidden=hidden, seed=k)
         x = np.random.default_rng(20).normal(size=(7, 6))
         z = model.encode(fresh_binding(), x).data
         state = model.state_dict()
@@ -73,7 +72,7 @@ class TestEncode:
                 h = (h @ state[f"module{c}.layer{i}.weight"]
                      + state[f"module{c}.layer{i}.bias"])
                 if i < depth - 1:
-                    h = np.tanh(h) if activation == "tanh" else np.maximum(h, 0)
+                    h = np.tanh(h)
             np.testing.assert_allclose(z[:, 2 * c:2 * c + 2], h, rtol=0,
                                        atol=1e-12)
 
@@ -278,6 +277,25 @@ class TestCheckpoint:
         for name, value in other.state_dict().items():
             np.testing.assert_array_equal(value, before[name])
 
+    @pytest.mark.parametrize("k, input_dim", [(1, 6), (4, 1639)])
+    def test_file_is_json_dumps_of_the_whole_payload(self, tmp_path, k,
+                                                      input_dim):
+        # 1639 x 5 first-layer weights per module span three 4096-value
+        # chunks
+        model = make_model(k=k, input_dim=input_dim, total_dim=8, seed=13,
+                           head_out=[1, 3], kinds=["mse", "xent"])
+        set_arrays(model, {"routing.theta": np.array([[np.nan] * k,
+                                                      [-np.inf] * k])})
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, model, "h\u00e9")
+        payload = {
+            "config_hash": "h\u00e9",
+            "arrays": {name: {"shape": list(val.shape),
+                              "data": val.ravel().tolist()}
+                       for name, val in model.state_dict().items()},
+        }
+        assert path.read_bytes() == json.dumps(payload).encode()
+
     @pytest.mark.parametrize("name, k, hidden", [
         ("checkpoint_k4_hidden.json", 4, (5,)),
         ("checkpoint_k1.json", 1, ()),
@@ -293,8 +311,3 @@ class TestCheckpoint:
         assert load_checkpoint(DATA / name, clone) == "v1"
         for p, q in zip(fresh.parameters(), clone.parameters()):
             np.testing.assert_array_equal(p.value, q.value)
-
-
-def test_mlp_rejects_unknown_activation():
-    with pytest.raises(ModelError, match="activation"):
-        Mlp("m", (3, 2), "softplus", np.random.default_rng(0))

@@ -17,8 +17,8 @@ def make_model(tasks=2, k=3, input_dim=4, total_dim=6, seed=0, kinds=None,
                head_out=None):
     rng = np.random.default_rng(seed)
     return MtlModel(tasks=tasks, k=k, input_dim=input_dim, total_dim=total_dim,
-                    encoder_hidden=(5,), encoder_activation="tanh",
-                    head_hidden=(), head_out_dims=head_out or [1] * tasks,
+                    encoder_hidden=(5,),
+                    head_out_dims=head_out or [1] * tasks,
                     loss_kinds=kinds or ["mse"] * tasks, rng=rng)
 
 
@@ -189,8 +189,7 @@ class TestEnvTaskRisk:
         # linear model y_hat = x @ w with w = [1, -1]; mse by hand
         rng = np.random.default_rng(0)
         model = MtlModel(tasks=1, k=1, input_dim=2, total_dim=2,
-                         encoder_hidden=(), encoder_activation="linear",
-                         head_hidden=(), head_out_dims=[1],
+                         encoder_hidden=(), head_out_dims=[1],
                          loss_kinds=["mse"], rng=rng)
         model.load_state({**model.state_dict(),
                           "module0.layer0.weight": np.eye(2),
@@ -361,8 +360,7 @@ class TestGirmPenalties:
         added = []
         for hidden in ((32,), (32, 32)):
             model = MtlModel(tasks=2, k=3, input_dim=4, total_dim=6,
-                             encoder_hidden=hidden, encoder_activation="tanh",
-                             head_hidden=(), head_out_dims=[1, 1],
+                             encoder_hidden=hidden, head_out_dims=[1, 1],
                              loss_kinds=["mse", "mse"],
                              rng=np.random.default_rng(0))
             batch = make_batches(seed=1)[0]
