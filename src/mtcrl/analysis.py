@@ -81,10 +81,13 @@ class CorrHeatmap:
 
 @np.errstate(all="ignore")  # the output is checked
 def module_corr_heatmap(model: MtlModel, batch) -> CorrHeatmap:
-    """Full correlation matrix over all module output dimensions."""
+    """Full correlation matrix over all module output dimensions.  No
+    nodes are recorded, except under ``T.detect_anomaly()``, so that a
+    replay names ops by node."""
     if batch.n_samples < 2:
         raise AnalysisError("need at least two samples for correlations")
     tape = T.Tape()
+    tape.recording = T.is_anomaly_enabled()
     binding = TapeBinding(tape)
     rho = module_correlation(model.encode(binding, batch.inputs))
     T.check_finite(rho, "the module correlations")

@@ -145,8 +145,9 @@ class Adam:
     def step(self, pairs):
         self.t += 1
         for p, g in pairs:
-            m, v = self.state.get(id(p), (np.zeros_like(p.value),
-                                           np.zeros_like(p.value)))
+            # zero moments are built on a parameter's first step only
+            m, v = self.state.get(id(p)) or (np.zeros_like(p.value),
+                                             np.zeros_like(p.value))
             m = self.b1 * m + (1 - self.b1) * g
             v = self.b2 * v + (1 - self.b2) * g * g
             self.state[id(p)] = (m, v)

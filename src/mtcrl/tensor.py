@@ -16,13 +16,20 @@ Conventions:
   * nothing writes tensor data in place, so ``transpose`` returns a view.
 
 A tape holds its nodes, but a node refers to its tape weakly, and no
-backward rule closes over its own output: each node keeps its output
-array, and :func:`grad` hands the output tensor to the rule.  So the
-record is acyclic, and a dropped tape is freed by reference counting the
-moment its last reference goes, without the cycle collector.  The rule
-that follows: keep a tape referenced while its tensors are used.  An op
-on a tensor whose tape was dropped, or :func:`grad` of one, raises
-:class:`StaleTapeError`.
+backward rule closes over its own output: :func:`grad` hands the output
+to the rule.  So the record is acyclic, and a dropped tape is freed by
+reference counting the moment its last reference goes, without the cycle
+collector.  The rule that follows: keep a tape referenced while its
+tensors are used.  An op on a tensor whose tape was dropped, or
+:func:`grad` of one, raises :class:`StaleTapeError`.
+
+A node keeps alive only the arrays its backward rule reads: its output
+array for ``tanh``, ``sigmoid`` and ``exp``, and its parent tensors for
+``matmul``, ``multiply``, ``square``, ``pow`` and ``log``.  Any other
+parent is held by a value-free stand-in with the parent's ``node`` and
+``shape``, so an intermediate array that only feeds such ops (a
+pre-activation sum, a product that is summed) is freed once the caller
+drops it, not when the tape goes.
 
 :func:`grad` walks only the nodes between the output and the requested
 tensors, and tells each backward rule which parents need a gradient; a
@@ -114,11 +121,16 @@ class NotOnTapeError(TensorError):
 
 
 class Node:
-    """One recorded operation: kind, parent tensors, output array and a
-    backward rule.
+    """One recorded operation: kind, parents and a backward rule.
+
+    ``parents`` holds one entry per operand with its ``node`` and
+    ``shape``: the tensor itself where the rule reads its values, else a
+    value-free :class:`_Parent`.  ``out`` is the output array where the
+    rule reads it (``tanh``, ``sigmoid``, ``exp``), else ``None``.
 
     ``vjp(out, upstream, needs)`` returns one gradient per parent, given
-    the node's output as a tensor on the tape.  ``needs`` holds one flag
+    the node's output as a tensor on the tape (``None`` where ``out`` is
+    not kept).  ``needs`` holds one flag
     per parent, false for constants and for parents no requested gradient
     depends on; the rule may return ``None`` for those.  Parent node ids
     always precede ``nid`` because nodes are appended in execution order.
@@ -167,7 +179,7 @@ class Tape:
     def leaf(self, value) -> "Tensor":
         """Put an array on the tape as a leaf (no parents)."""
         data = np.asarray(value, dtype=np.float64)
-        node = Node(len(self.nodes), "leaf", (), None, data, self)
+        node = Node(len(self.nodes), "leaf", (), None, None, self)
         self.nodes.append(node)
         return Tensor(data, node)
 
@@ -196,6 +208,16 @@ class Tensor:
     def __repr__(self):
         tag = "const" if self.node is None else f"node {self.node.nid}"
         return f"Tensor(shape={self.data.shape}, {tag})"
+
+
+class _Parent:
+    """A parent whose values the backward rule does not read: its node and
+    shape, without its array."""
+
+    __slots__ = ("node", "shape")
+
+    def __init__(self, tensor):
+        self.node, self.shape = tensor.node, tensor.data.shape
 
 
 def _lift(x) -> Tensor:
@@ -270,11 +292,17 @@ def _check_op(data: np.ndarray, op: str, node: Node | None, parents):
 
 
 def _make(op: str, data: np.ndarray, parents: Sequence[Tensor],
-          vjp: Callable | None) -> Tensor:
+          vjp: Callable | None, keep_out: bool = False,
+          keep_parents: bool = False) -> Tensor:
+    """The op's output tensor, recorded when its inputs are on a recording
+    tape.  The node keeps ``data`` only with ``keep_out``, and the parent
+    tensors only with ``keep_parents``: the rule reads those values."""
     tape = _tape_of(parents)
     node = None
     if tape is not None and tape.recording:
-        node = Node(len(tape.nodes), op, tuple(parents), vjp, data, tape)
+        kept = tuple(parents) if keep_parents else tuple(map(_Parent, parents))
+        node = Node(len(tape.nodes), op, kept, vjp,
+                    data if keep_out else None, tape)
         tape.nodes.append(node)
     if _anomaly:
         _check_op(data, op, node, parents)
@@ -315,10 +343,11 @@ def _unbroadcast(g: Tensor, shape: tuple) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
+    a_shape, b_shape = a.shape, b.shape
 
     def vjp(out, g, needs):
-        return (_unbroadcast(g, a.shape) if needs[0] else None,
-                _unbroadcast(g, b.shape) if needs[1] else None)
+        return (_unbroadcast(g, a_shape) if needs[0] else None,
+                _unbroadcast(g, b_shape) if needs[1] else None)
 
     data = _broadcasting(np.add, "add", a, b)
     return _make("add", data, (a, b), vjp)
@@ -326,10 +355,11 @@ def add(a, b) -> Tensor:
 
 def subtract(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
+    a_shape, b_shape = a.shape, b.shape
 
     def vjp(out, g, needs):
-        return (_unbroadcast(g, a.shape) if needs[0] else None,
-                _unbroadcast(scale(g, -1.0), b.shape) if needs[1] else None)
+        return (_unbroadcast(g, a_shape) if needs[0] else None,
+                _unbroadcast(scale(g, -1.0), b_shape) if needs[1] else None)
 
     data = _broadcasting(np.subtract, "subtract", a, b)
     return _make("subtract", data, (a, b), vjp)
@@ -345,7 +375,7 @@ def multiply(a, b) -> Tensor:
         )
 
     data = _broadcasting(np.multiply, "multiply", a, b)
-    return _make("multiply", data, (a, b), vjp)
+    return _make("multiply", data, (a, b), vjp, keep_parents=True)
 
 
 def matmul(a, b) -> Tensor:
@@ -361,7 +391,7 @@ def matmul(a, b) -> Tensor:
 
     with np.errstate(over="ignore", invalid="ignore"):
         data = a.data @ b.data
-    return _make("matmul", data, (a, b), vjp)
+    return _make("matmul", data, (a, b), vjp, keep_parents=True)
 
 
 def transpose(a) -> Tensor:
@@ -411,7 +441,7 @@ def sigmoid(a) -> Tensor:
     def vjp(out, g, needs):
         return (multiply(multiply(g, out), subtract(1.0, out)),)
 
-    return _make("sigmoid", data, (a,), vjp)
+    return _make("sigmoid", data, (a,), vjp, keep_out=True)
 
 
 def tanh(a) -> Tensor:
@@ -420,7 +450,7 @@ def tanh(a) -> Tensor:
     def vjp(out, g, needs):
         return (multiply(g, subtract(1.0, square(out))),)
 
-    return _make("tanh", np.tanh(a.data), (a,), vjp)
+    return _make("tanh", np.tanh(a.data), (a,), vjp, keep_out=True)
 
 
 def exp(a) -> Tensor:
@@ -431,7 +461,7 @@ def exp(a) -> Tensor:
 
     with np.errstate(over="ignore"):
         data = np.exp(a.data)
-    return _make("exp", data, (a,), vjp)
+    return _make("exp", data, (a,), vjp, keep_out=True)
 
 
 def log(a) -> Tensor:
@@ -442,7 +472,7 @@ def log(a) -> Tensor:
     def vjp(out, g, needs):
         return (multiply(g, pow_const(a, -1.0)),)
 
-    return _make("log", np.log(a.data), (a,), vjp)
+    return _make("log", np.log(a.data), (a,), vjp, keep_parents=True)
 
 
 def square(a) -> Tensor:
@@ -451,7 +481,7 @@ def square(a) -> Tensor:
     def vjp(out, g, needs):
         return (scale(multiply(g, a), 2.0),)
 
-    return _make("square", a.data * a.data, (a,), vjp)
+    return _make("square", a.data * a.data, (a,), vjp, keep_parents=True)
 
 
 def pow_const(a, p: float) -> Tensor:
@@ -467,7 +497,7 @@ def pow_const(a, p: float) -> Tensor:
 
     with np.errstate(over="ignore"):
         data = a.data ** p
-    return _make("pow", data, (a,), vjp)
+    return _make("pow", data, (a,), vjp, keep_parents=True)
 
 
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -476,7 +506,8 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
 
     def vjp(out, g, needs):
         if axis is None:
-            expand = g if g.data.ndim == a.data.ndim else reshape(g, (1,) * a.data.ndim)
+            ndim = len(in_shape)
+            expand = g if g.data.ndim == ndim else reshape(g, (1,) * ndim)
         elif keepdims:
             expand = g
         else:
@@ -642,7 +673,7 @@ def grad(output: Tensor, wrt, create_graph: bool = False,
             if not any(needs):
                 continue
             try:
-                out = Tensor(node.out, node)
+                out = None if node.out is None else Tensor(node.out, node)
                 for parent, need, pg in zip(node.parents, needs,
                                             node.vjp(out, g, needs)):
                     if not need:

@@ -262,6 +262,78 @@ class TestAdjointFreeing:
                                    2 * h.data * (1 - h.data ** 2), rtol=1e-14)
 
 
+# (op, call, parent shapes, whether its backward rule reads the parents)
+_KEPT_CASES = [
+    ("add", T.add, [(3, 4), (1, 4)], False),
+    ("subtract", T.subtract, [(3, 4), (3, 4)], False),
+    ("multiply", T.multiply, [(3, 4), (1, 4)], True),
+    ("matmul", T.matmul, [(3, 4), (4, 2)], True),
+    ("transpose", T.transpose, [(3, 4)], False),
+    ("reshape", lambda a: T.reshape(a, (4, 3)), [(3, 4)], False),
+    ("scale", lambda a: T.scale(a, 2.0), [(3, 4)], False),
+    ("sigmoid", T.sigmoid, [(3, 4)], False),
+    ("tanh", T.tanh, [(3, 4)], False),
+    ("exp", T.exp, [(3, 4)], False),
+    ("log", T.log, [(3, 4)], True),
+    ("square", T.square, [(3, 4)], True),
+    ("pow", lambda a: T.pow_const(a, -0.5), [(3, 4)], True),
+    ("sum", lambda a: T.sum_(a, axis=1), [(3, 4)], False),
+    ("slice", lambda a: T.narrow(a, 1, 1, 2), [(3, 4)], False),
+    ("scatter", lambda a: T.scatter_narrow(a, 1, 1, (3, 4)), [(3, 2)],
+     False),
+]
+
+
+class TestKeptArrays:
+    """A node keeps alive only the arrays its backward rule reads."""
+
+    def test_bank_layer_keeps_only_the_activation(self):
+        # tanh(x @ w + b): neither the product nor the pre-activation sum
+        # is read by a rule, so both die with their last local name
+        gc.disable()
+        try:
+            rng = np.random.default_rng(3)
+            tape = T.Tape()
+            x = T.Tensor(rng.normal(size=(6, 4)))
+            w = tape.leaf(rng.normal(size=(4, 3)))
+            b = tape.leaf(rng.normal(size=(1, 3)))
+            pre = T.matmul(x, w)
+            summed = T.add(pre, b)
+            h = T.tanh(summed)
+            out = T.sum_(h)
+            refs = [weakref.ref(t.data) for t in (pre, summed, h)]
+            del pre, summed, h
+            assert [r() is not None for r in refs] == [False, False, True]
+            gw, gb = T.grad(out, [w, b])
+        finally:
+            gc.enable()
+        dh = 1 - np.tanh(x.data @ w.data + b.data) ** 2
+        np.testing.assert_allclose(gw.data, x.data.T @ dh, rtol=1e-14)
+        np.testing.assert_allclose(gb.data, dh.sum(axis=0, keepdims=True),
+                                   rtol=1e-14)
+
+    @pytest.mark.parametrize("name, op, shapes, reads", _KEPT_CASES,
+                             ids=[case[0] for case in _KEPT_CASES])
+    def test_node_keeps_a_parent_only_if_its_rule_reads_it(
+            self, name, op, shapes, reads):
+        gc.disable()
+        try:
+            rng = np.random.default_rng(5)
+            tape = T.Tape()
+            leaves = [tape.leaf(np.abs(rng.normal(size=s)) + 0.5)
+                      for s in shapes]
+            parents = [T.scale(v, 1.0) for v in leaves]  # fresh arrays
+            refs = [weakref.ref(p.data) for p in parents]
+            node = op(*parents).node
+            assert node.op == name
+            assert [(p.node, p.shape) for p in node.parents] == [
+                (p.node, p.shape) for p in parents]
+            del parents
+            assert [r() is not None for r in refs] == [reads] * len(shapes)
+        finally:
+            gc.enable()
+
+
 class TestItem:
     @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
     def test_one_element_tensor_gives_python_float(self, shape):
