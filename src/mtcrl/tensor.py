@@ -24,12 +24,12 @@ tensors are used.  An op on a tensor whose tape was dropped, or
 :func:`grad` of one, raises :class:`StaleTapeError`.
 
 A node keeps alive only the arrays its backward rule reads: its output
-array for ``tanh``, ``sigmoid`` and ``exp``, and its parent tensors for
-``matmul``, ``multiply``, ``square``, ``pow`` and ``log``.  Any other
-parent is held by a value-free stand-in with the parent's ``node`` and
-``shape``, so an intermediate array that only feeds such ops (a
-pre-activation sum, a product that is summed) is freed once the caller
-drops it, not when the tape goes.
+array for ``tanh``, ``sigmoid`` and ``exp``, and, through the rule's
+closure, the operands of ``matmul``, ``multiply``, ``square``, ``pow``
+and ``log``.  The node records each parent as a value-free stand-in with
+the parent's ``node`` and ``shape``, so an intermediate array that only
+feeds other ops (a pre-activation sum, a product that is summed) is freed
+once the caller drops it, not when the tape goes.
 
 :func:`grad` walks only the nodes between the output and the requested
 tensors, and tells each backward rule which parents need a gradient; a
@@ -123,18 +123,18 @@ class NotOnTapeError(TensorError):
 class Node:
     """One recorded operation: kind, parents and a backward rule.
 
-    ``parents`` holds one entry per operand with its ``node`` and
-    ``shape``: the tensor itself where the rule reads its values, else a
-    value-free :class:`_Parent`.  ``out`` is the output array where the
-    rule reads it (``tanh``, ``sigmoid``, ``exp``), else ``None``.
+    ``parents`` holds one value-free :class:`_Parent` per operand, with
+    its ``node`` and ``shape``; a rule that reads an operand's values
+    closes over the operand.  ``out`` is the output array where the rule
+    reads it (``tanh``, ``sigmoid``, ``exp``), else ``None``.
 
     ``vjp(out, upstream, needs)`` returns one gradient per parent, given
     the node's output as a tensor on the tape (``None`` where ``out`` is
-    not kept).  ``needs`` holds one flag
-    per parent, false for constants and for parents no requested gradient
-    depends on; the rule may return ``None`` for those.  Parent node ids
-    always precede ``nid`` because nodes are appended in execution order.
-    ``tape`` is the owning tape, or ``None`` once it was dropped.
+    not kept).  ``needs`` holds one flag per parent, false for constants
+    and for parents no requested gradient depends on; the rule may return
+    ``None`` for those.  Parent node ids always precede ``nid`` because
+    nodes are appended in execution order.  ``tape`` is the owning tape,
+    or ``None`` once it was dropped.
     """
 
     __slots__ = ("nid", "op", "parents", "vjp", "out", "_tape", "generation")
@@ -211,8 +211,7 @@ class Tensor:
 
 
 class _Parent:
-    """A parent whose values the backward rule does not read: its node and
-    shape, without its array."""
+    """A recorded parent: its node and shape, without its array."""
 
     __slots__ = ("node", "shape")
 
@@ -292,16 +291,14 @@ def _check_op(data: np.ndarray, op: str, node: Node | None, parents):
 
 
 def _make(op: str, data: np.ndarray, parents: Sequence[Tensor],
-          vjp: Callable | None, keep_out: bool = False,
-          keep_parents: bool = False) -> Tensor:
+          vjp: Callable | None, keep_out: bool = False) -> Tensor:
     """The op's output tensor, recorded when its inputs are on a recording
-    tape.  The node keeps ``data`` only with ``keep_out``, and the parent
-    tensors only with ``keep_parents``: the rule reads those values."""
+    tape.  The node keeps ``data`` only with ``keep_out``, for a rule that
+    reads its own output; parents are recorded as value-free stand-ins."""
     tape = _tape_of(parents)
     node = None
     if tape is not None and tape.recording:
-        kept = tuple(parents) if keep_parents else tuple(map(_Parent, parents))
-        node = Node(len(tape.nodes), op, kept, vjp,
+        node = Node(len(tape.nodes), op, tuple(map(_Parent, parents)), vjp,
                     data if keep_out else None, tape)
         tape.nodes.append(node)
     if _anomaly:
@@ -375,7 +372,7 @@ def multiply(a, b) -> Tensor:
         )
 
     data = _broadcasting(np.multiply, "multiply", a, b)
-    return _make("multiply", data, (a, b), vjp, keep_parents=True)
+    return _make("multiply", data, (a, b), vjp)
 
 
 def matmul(a, b) -> Tensor:
@@ -391,7 +388,7 @@ def matmul(a, b) -> Tensor:
 
     with np.errstate(over="ignore", invalid="ignore"):
         data = a.data @ b.data
-    return _make("matmul", data, (a, b), vjp, keep_parents=True)
+    return _make("matmul", data, (a, b), vjp)
 
 
 def transpose(a) -> Tensor:
@@ -472,7 +469,7 @@ def log(a) -> Tensor:
     def vjp(out, g, needs):
         return (multiply(g, pow_const(a, -1.0)),)
 
-    return _make("log", np.log(a.data), (a,), vjp, keep_parents=True)
+    return _make("log", np.log(a.data), (a,), vjp)
 
 
 def square(a) -> Tensor:
@@ -481,7 +478,7 @@ def square(a) -> Tensor:
     def vjp(out, g, needs):
         return (scale(multiply(g, a), 2.0),)
 
-    return _make("square", a.data * a.data, (a,), vjp, keep_parents=True)
+    return _make("square", a.data * a.data, (a,), vjp)
 
 
 def pow_const(a, p: float) -> Tensor:
@@ -497,7 +494,7 @@ def pow_const(a, p: float) -> Tensor:
 
     with np.errstate(over="ignore"):
         data = a.data ** p
-    return _make("pow", data, (a,), vjp, keep_parents=True)
+    return _make("pow", data, (a,), vjp)
 
 
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:

@@ -329,6 +329,7 @@ class TestKeptArrays:
             assert [(p.node, p.shape) for p in node.parents] == [
                 (p.node, p.shape) for p in parents]
             del parents
+            # a rule that reads its operands keeps them through its closure
             assert [r() is not None for r in refs] == [reads] * len(shapes)
         finally:
             gc.enable()
