@@ -15,7 +15,7 @@ from .model import MtlModel, TapeBinding
 # env_task_risk is no longer called here, but perfbench/tracing.py wraps
 # ``analysis.env_task_risk``, so the name stays
 from .regularizers import (env_task_risk, environment_gradients,  # noqa: F401
-                           module_correlation)
+                           module_correlation, task_labels)
 
 
 class AnalysisError(Exception):
@@ -27,27 +27,31 @@ class UndefinedScoreError(AnalysisError):
 
 
 @np.errstate(all="ignore")  # the output is checked
-def factor_gradient(model: MtlModel, t: int, batch) -> np.ndarray:
-    """Summed absolute input-gradients of the true-class score over a batch.
+def factor_gradient(model: MtlModel, batch) -> np.ndarray:
+    """Per task, the summed absolute input-gradients of its score over a
+    batch, T x D, from one forward pass and one gradient per task.
 
-    For classification the differentiated scalar is the pre-softmax score
-    of the true class; for scalar outputs it is the output itself.
+    For classification a task's score is the pre-softmax score of its true
+    class; for scalar outputs it is the output itself.
     """
     tape = T.Tape()
     binding = TapeBinding(tape)
     x = tape.leaf(batch.inputs)
-    z = model.encode(binding, x)
-    out = model.predict(binding, t, z=z)
-    if model.loss_kinds[t] == "xent":
-        labels = np.asarray(batch.labels[t]).astype(np.int64)
-        onehot = np.zeros(out.shape)
-        onehot[np.arange(out.shape[0]), labels] = 1.0
-        score = T.sum_(T.multiply(out, T.Tensor(onehot)))
+    out = model.predict(binding, model.encode(binding, x))
+    shape = (out.shape[0], model.tasks, out.shape[1] // model.tasks)
+    if model.loss_kind == "xent":
+        labels = task_labels(batch, model.tasks)[:, :, None]
+        picks = (np.arange(shape[2]) == labels).astype(np.float64)
     else:
-        score = T.sum_(out)
-    g, = T.grad(score, [x])
-    T.check_finite(g, f"the input gradient of task {t}")
-    return np.abs(g.data).sum(axis=0)
+        picks = np.ones(shape)
+    scores = T.sum_(T.multiply(T.reshape(out, shape), T.Tensor(picks)),
+                    axis=(0, 2))
+    saliency = []
+    for t in range(model.tasks):
+        g, = T.grad(T.narrow(scores, 0, t, 1), [x])
+        T.check_finite(g, f"the input gradient of task {t}")
+        saliency.append(np.abs(g.data).sum(axis=0))
+    return np.array(saliency)
 
 
 def spurious_score(grad_per_dim: np.ndarray, causal_mask: np.ndarray) -> float:

@@ -269,9 +269,9 @@ def cmd_analyze(args) -> int:
             "analyze reads the one model of an mtl-vanilla or mtcrl run; "
             "an stl run writes one K = 1 model per task")
     out = _out_dir(args)
-    train_b, valid_b, _, tasks, kinds, head_out = harness._dataset_bundle(cfg)
+    train_b, valid_b, _, tasks, kind, head_out = harness._dataset_bundle(cfg)
     envs = harness.split_environments(train_b, valid_b)
-    model = harness._build_model(cfg, train_b.input_dim, tasks, kinds,
+    model = harness._build_model(cfg, train_b.input_dim, tasks, kind,
                                  head_out, seed_key=100)
     if args.checkpoint:
         if not os.path.exists(args.checkpoint):

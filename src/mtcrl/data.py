@@ -216,12 +216,23 @@ class MnistPairSpec:
         for name in ("pairs_per_class_pair", "split_seed", "num_classes"):
             if not is_int(getattr(self, name)):
                 raise DataError(f"{name} must be an integer")
-        if len(self.ratios) != 3 or any(r <= 0 for r in self.ratios):
-            raise DataError("ratios must be three positive numbers")
+        if len(self.ratios) != 3 or not all(is_int(r) and r >= 1
+                                            for r in self.ratios):
+            raise DataError("ratios must be three integers of at least 1")
+        if self.num_classes < 1 or min(self.split_sizes()) < 1:
+            raise DataError(f"num_classes={self.num_classes} and ratios="
+                            f"{list(self.ratios)} leave a split with no "
+                            "class pair")
         if self.pairs_per_class_pair < 1:
             raise DataError("pairs_per_class_pair must be at least 1")
         if self.split_seed < 0:
             raise DataError("split_seed must be nonnegative")
+
+    def split_sizes(self):
+        """Class pairs in the train, valid and test splits."""
+        n, total = self.num_classes ** 2, sum(self.ratios)
+        n_train, n_valid = (n * r // total for r in self.ratios[:2])
+        return n_train, n_valid, n - n_train - n_valid
 
 
 def partition_pairs(spec: MnistPairSpec):
@@ -231,9 +242,7 @@ def partition_pairs(spec: MnistPairSpec):
              for j in range(spec.num_classes)]
     order = rng.permutation(len(pairs))
     pairs = [pairs[i] for i in order]
-    total = sum(spec.ratios)
-    n_train = len(pairs) * spec.ratios[0] // total
-    n_valid = len(pairs) * spec.ratios[1] // total
+    n_train, n_valid, _ = spec.split_sizes()
     return (pairs[:n_train],
             pairs[n_train:n_train + n_valid],
             pairs[n_train + n_valid:])

@@ -26,7 +26,8 @@ from .data import (MnistPairSpec, SemSpec, compose_multimnist, gen_multisem,
                    is_int, split_environments)
 from .model import MtlModel, TapeBinding
 from .regularizers import (PenaltyWeights, decorrelation_loss, env_task_risk,
-                           girm_penalty, graph_reg_loss, task_loss)
+                           girm_penalty, graph_reg_loss, task_labels,
+                           task_loss)
 
 MODES = ("stl", "mtl-vanilla", "mtcrl")
 PLATEAU_TOL = 1e-6
@@ -185,15 +186,9 @@ def step_gradients(model: MtlModel, train_batch, env_batches,
     binding = TapeBinding(tape)
     z = model.encode(binding, train_batch.inputs)
     a = model.routing.weights(binding)
-    parts = {}
-    loss = None
-    risks = []
-    for t in range(model.tasks):
-        risk = env_task_risk(model, binding, train_batch, t, z=z,
-                             a_row=T.narrow(a, 0, t, 1))
-        risks.append(float(risk.data))
-        loss = risk if loss is None else T.add(loss, risk)
-    parts["task_risks"] = risks
+    risks = env_task_risk(model, binding, train_batch, z=z, a=a)
+    parts = {"task_risks": risks.data.ravel().tolist()}
+    loss = T.sum_(risks)
     if weights.lambda_decor > 0:
         decor = decorrelation_loss(z, model.k, weights.lambda_decor)
         parts["decor"] = float(decor.data)
@@ -246,20 +241,14 @@ def evaluate(model: MtlModel, batch) -> dict:
     tape = T.Tape()
     tape.recording = T.is_anomaly_enabled()
     binding = TapeBinding(tape)
-    z = model.encode(binding, batch.inputs)
-    risks, accs = [], []
-    for t in range(model.tasks):
-        pred = model.predict(binding, t, z=z)
-        kind = model.loss_kinds[t]
-        y = np.asarray(batch.labels[t])
-        risks.append(task_loss(pred, y, kind).item())
-        if kind == "mse":
-            hit = np.where(pred.data.ravel() >= 0, 1.0, -1.0) == y
-        else:
-            hit = pred.data.argmax(axis=1) == y.astype(np.int64)
-        accs.append(float(np.mean(hit)))
-    T.check_finite(np.array(risks), f"the risks on '{batch.env_id}'")
-    return {"risks": risks, "accuracy": accs}
+    pred = model.predict(binding, model.encode(binding, batch.inputs))
+    y = task_labels(batch, model.tasks)
+    risks = task_loss(pred, y, model.loss_kind).data
+    T.check_finite(risks, f"the risks on '{batch.env_id}'")
+    guess = (np.where(pred.data >= 0, 1.0, -1.0) if model.loss_kind == "mse"
+             else pred.data.reshape(*y.shape, -1).argmax(axis=2))
+    return {"risks": risks.ravel().tolist(),
+            "accuracy": (guess == y).mean(axis=0).tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -298,18 +287,12 @@ class RunReport:
 def _dataset_bundle(cfg: TrainConfig):
     if isinstance(cfg.dataset, SemSpec):
         train_b, valid_b, test_b = gen_multisem(cfg.dataset)
-        tasks = cfg.dataset.tasks
-        kinds = ["mse"] * tasks
-        head_out = [1] * tasks
-    else:
-        train_b, valid_b, test_b = compose_multimnist(cfg.dataset)
-        tasks = 2
-        kinds = ["xent"] * tasks
-        head_out = [cfg.dataset.num_classes] * tasks
-    return train_b, valid_b, test_b, tasks, kinds, head_out
+        return train_b, valid_b, test_b, cfg.dataset.tasks, "mse", 1
+    train_b, valid_b, test_b = compose_multimnist(cfg.dataset)
+    return train_b, valid_b, test_b, 2, "xent", cfg.dataset.num_classes
 
 
-def _build_model(cfg: TrainConfig, input_dim, tasks, kinds, head_out,
+def _build_model(cfg: TrainConfig, input_dim, tasks, kind, head_out,
                  seed_key, k=None, total_dim=None) -> MtlModel:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, seed_key]))
     return MtlModel(
@@ -318,18 +301,17 @@ def _build_model(cfg: TrainConfig, input_dim, tasks, kinds, head_out,
         input_dim=input_dim,
         total_dim=total_dim if total_dim is not None else cfg.total_module_dim,
         encoder_hidden=cfg.encoder_hidden,
-        head_out_dims=head_out,
-        loss_kinds=kinds,
+        head_out=head_out,
+        loss_kind=kind,
         rng=rng,
     )
 
 
 def spurious_scores(model: MtlModel, batch):
     """Input saliency over ``batch`` (tasks x inputs) and rho_spur per task."""
-    saliency = np.array([factor_gradient(model, t, batch)
-                         for t in range(model.tasks)])
-    return saliency, [spurious_score(sal, batch.causal_masks[t])
-                      for t, sal in enumerate(saliency)]
+    saliency = factor_gradient(model, batch)
+    return saliency, [spurious_score(s, batch.causal_masks[t])
+                      for t, s in enumerate(saliency)]
 
 
 def effective_weights(cfg: TrainConfig) -> PenaltyWeights:
@@ -439,20 +421,19 @@ def train(cfg: TrainConfig):
     the models in fit order.
     """
     t0 = time.perf_counter()
-    train_b, valid_b, test_b, tasks, kinds, head_out = _dataset_bundle(cfg)
+    train_b, valid_b, test_b, tasks, kind, head_out = _dataset_bundle(cfg)
     envs = split_environments(train_b, valid_b)
     weights = effective_weights(cfg)
 
     # per fit: (model, [train, valid] views, test view)
     if cfg.mode == "stl":
         share = max(cfg.total_module_dim // tasks, 1)
-        fits = [(_build_model(cfg, train_b.input_dim, 1, [kinds[t]],
-                              [head_out[t]], seed_key=100 + t, k=1,
-                              total_dim=share),
+        fits = [(_build_model(cfg, train_b.input_dim, 1, kind, head_out,
+                              seed_key=100 + t, k=1, total_dim=share),
                  [e.task_view(t) for e in envs], test_b.task_view(t))
                 for t in range(tasks)]
     else:
-        fits = [(_build_model(cfg, train_b.input_dim, tasks, kinds, head_out,
+        fits = [(_build_model(cfg, train_b.input_dim, tasks, kind, head_out,
                               seed_key=100),
                  envs, test_b)]
 

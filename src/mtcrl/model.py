@@ -1,5 +1,7 @@
 """Modular multi-task network: K encoder modules, a sigmoid-parameterized
-task-to-module routing graph, and per-task predictor heads.
+task-to-module routing graph, and T linear task heads.  One op chain
+routes and predicts all T tasks at once, through the whole routing matrix
+and one block-diagonal head layer, so a step's tape does not grow with T.
 
 Parameters live outside the tape as plain arrays; a :class:`TapeBinding`
 puts each one on the active tape as a leaf exactly once per step, or as a
@@ -11,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,10 +22,6 @@ LOSS_KINDS = ("mse", "xent")
 
 
 class ModelError(Exception):
-    pass
-
-
-class UnknownTaskError(ModelError):
     pass
 
 
@@ -71,22 +68,27 @@ class Mlp:
 
     ``copies`` runs that many stacks side by side: the first layer holds
     their columns next to each other, and later layers are block-diagonal
-    under a constant mask."""
+    under a constant mask.  With ``own_inputs`` each copy reads its own
+    block of input columns, so the first layer is block-diagonal too."""
 
-    def __init__(self, name: str, widths, rng, copies: int = 1):
+    def __init__(self, name: str, widths, rng, copies: int = 1,
+                 own_inputs: bool = False):
         if len(widths) < 2:
             raise ModelError("an MLP needs at least input and output widths")
         self.widths = tuple(int(w) for w in widths)
+        self.copies, self.own_inputs = copies, own_inputs
         self.layers, self.masks = [], []
         fans = list(zip(self.widths[:-1], self.widths[1:]))
         for i, (fan_in, fan_out) in enumerate(fans):
-            rows, cols = fan_in * copies if i else fan_in, fan_out * copies
+            blocked = bool(i) or own_inputs
+            rows = fan_in * copies if blocked else fan_in
+            cols = fan_out * copies
             self.layers.append((
                 Parameter(f"{name}.layer{i}.weight", np.zeros((rows, cols))),
                 Parameter(f"{name}.layer{i}.bias", np.zeros((1, cols)))))
             self.masks.append(
                 T.Tensor(np.kron(np.eye(copies), np.ones((fan_in, fan_out))))
-                if i and copies > 1 else None)
+                if blocked and copies > 1 else None)
         # copy by copy, layer by layer, weight before bias: the draw order
         # of separate stacks, so one seed gives the same weights
         for c in range(copies):
@@ -99,18 +101,28 @@ class Mlp:
         w, b = self.layers[i]
         fan_in, fan_out = self.widths[i], self.widths[i + 1]
         cols = slice(c * fan_out, (c + 1) * fan_out)
-        rows = slice(None) if i == 0 else slice(c * fan_in, (c + 1) * fan_in)
+        rows = (slice(c * fan_in, (c + 1) * fan_in) if i or self.own_inputs
+                else slice(None))
         return w.value[rows, cols], b.value[:, cols]
 
-    def forward(self, binding: TapeBinding, x: T.Tensor,
-                detach: bool = False) -> T.Tensor:
+    def named_blocks(self, prefix: str) -> dict:
+        """Each copy's layers as views ``{prefix}{c}.layer{i}.{kind}``."""
+        return {f"{prefix}{c}.layer{i}.{kind}": view
+                for c in range(self.copies) for i in range(len(self.layers))
+                for kind, view in zip(("weight", "bias"), self.block(c, i))}
+
+    def weights(self, binding: TapeBinding, i: int, detach: bool = False):
+        """Layer ``i``'s masked weight and bias, constants with ``detach``."""
         get = binding.const if detach else binding.leaf
+        (w, b), mask = self.layers[i], self.masks[i]
+        return (get(w) if mask is None else T.multiply(get(w), mask)), get(b)
+
+    def forward(self, binding: TapeBinding, x: T.Tensor) -> T.Tensor:
         h = x
-        last = len(self.layers) - 1
-        for i, ((w, b), mask) in enumerate(zip(self.layers, self.masks)):
-            weight = get(w) if mask is None else T.multiply(get(w), mask)
-            h = T.add(T.matmul(h, weight), get(b))
-            if i < last:
+        for i in range(len(self.layers)):
+            weight, bias = self.weights(binding, i)
+            h = T.add(T.matmul(h, weight), bias)
+            if i < len(self.layers) - 1:
                 h = T.tanh(h)
         return h
 
@@ -135,9 +147,11 @@ class ModuleBank:
         self.module_dim = total_dim // k
         self.net = Mlp("bank", (input_dim, *hidden, self.module_dim), rng,
                        copies=k)
-        # routing row -> per-column weights (K x d); column -> place in module
+        # routing matrix -> per-column weights (K x d); column -> place in
+        # its module, with a task axis to broadcast over (d x 1 x m)
         self._expand = T.Tensor(np.kron(np.eye(k), np.ones((1, self.module_dim))))
-        self._fold = T.Tensor(np.kron(np.ones((k, 1)), np.eye(self.module_dim)))
+        self._fold = T.Tensor(np.kron(np.ones((k, 1)),
+                                      np.eye(self.module_dim))[:, None, :])
 
     def encode(self, binding: TapeBinding, x: T.Tensor) -> T.Tensor:
         if x.shape[1] != self.input_dim:
@@ -147,22 +161,26 @@ class ModuleBank:
             )
         return self.net.forward(binding, x)
 
-    def route(self, a_row: T.Tensor, z: T.Tensor) -> T.Tensor:
-        """Fuse module outputs: sum_i a_row[i] * (module i's columns of z).
+    def route(self, a: T.Tensor, z: T.Tensor, weight=None) -> T.Tensor:
+        """Fuse module outputs for all T tasks: B x (T*m), whose block t is
+        sum_i a[t, i] * (module i's columns of z), times ``weight`` if given.
 
-        For K > 1 this is ``z @ mix``, whose d x m mixing matrix
-        ``mix = (a_row @ expand)^T * fold`` holds column j's module weight at
-        column j's place in its module: the row costs d x m work, not B x d,
-        and its gradient is ``z^T @ g``."""
-        if a_row.size != self.k:
+        This is ``z @ mix``: the d x (T*m) mixing matrix holds column j's
+        module weight for task t at column j's place in task t's block.
+        ``weight`` multiplies ``mix`` first, so no B x (T*m) array is formed.
+        A 1 x 1 ``a`` scales ``z``; a mixing matrix would only cost time."""
+        tasks, k = a.shape
+        if k != self.k:
             raise ModelError(
-                f"routing row has {a_row.size} weights for {self.k} modules")
-        if self.k == 1:
-            # the mixing matrix would only cost time at K = 1
-            return T.multiply(z, a_row)
-        mix = T.multiply(T.transpose(T.matmul(a_row, self._expand)),
-                         self._fold)
-        return T.matmul(z, mix)
+                f"routing rows have {k} weights for {self.k} modules")
+        if a.size == 1:
+            fused = T.multiply(z, a)
+            return fused if weight is None else T.matmul(fused, weight)
+        d = self.k * self.module_dim
+        per_column = T.transpose(T.matmul(a, self._expand))
+        mix = T.reshape(T.multiply(T.reshape(per_column, (d, tasks, 1)),
+                                   self._fold), (d, tasks * self.module_dim))
+        return T.matmul(z, mix if weight is None else T.matmul(mix, weight))
 
     def parameters(self) -> list[Parameter]:
         return self.net.parameters()
@@ -172,8 +190,6 @@ class RoutingGraph:
     """T x K learnable logits; weights A = sigmoid(theta), recomputed per access."""
 
     def __init__(self, tasks: int, k: int):
-        self.tasks = tasks
-        self.k = k
         self.theta = Parameter("routing.theta", np.zeros((tasks, k)))
 
     def weights(self, binding: TapeBinding) -> T.Tensor:
@@ -185,57 +201,40 @@ class RoutingGraph:
 
 
 class MtlModel:
-    """Module bank + routing graph + per-task linear heads."""
+    """Module bank + routing graph + T linear heads in one layer."""
 
     def __init__(self, tasks: int, k: int, input_dim: int, total_dim: int,
-                 encoder_hidden, head_out_dims, loss_kinds, rng):
+                 encoder_hidden, head_out: int, loss_kind: str, rng):
+        if loss_kind not in LOSS_KINDS:
+            raise ModelError(f"unknown loss kind '{loss_kind}'")
         self.tasks = int(tasks)
         self.bank = ModuleBank(k, input_dim, total_dim, encoder_hidden, rng)
         self.routing = RoutingGraph(tasks, k)
-        for kind in loss_kinds:
-            if kind not in LOSS_KINDS:
-                raise ModelError(f"unknown loss kind '{kind}'")
-        self.loss_kinds = tuple(loss_kinds)
-        self.heads = [Mlp(f"head{t}", (self.bank.module_dim, head_out_dims[t]),
-                          rng)
-                      for t in range(tasks)]
+        self.loss_kind = loss_kind
+        self.heads = Mlp("heads", (self.bank.module_dim, head_out), rng,
+                         copies=self.tasks, own_inputs=True)
 
     @property
     def k(self):
         return self.bank.k
-
-    def _check_task(self, t: int):
-        if not 0 <= t < self.tasks:
-            raise UnknownTaskError(f"task {t} out of range [0, {self.tasks})")
 
     def encode(self, binding: TapeBinding, x) -> T.Tensor:
         if not isinstance(x, T.Tensor):
             x = T.Tensor(x)
         return self.bank.encode(binding, x)
 
-    def routing_row(self, binding: TapeBinding, t: int) -> T.Tensor:
-        self._check_task(t)
-        return T.narrow(self.routing.weights(binding), 0, t, 1)
-
-    def predict(self, binding: TapeBinding, t: int, x=None, z=None,
-                a_row=None, detach_heads: bool = False) -> T.Tensor:
-        """f_t applied to the routed fusion of module outputs.
-
-        ``z`` / ``a_row`` let callers reuse a shared encoding or supply an
-        explicit routing row (e.g. one that gradients are taken against).
-        """
-        self._check_task(t)
-        if z is None:
-            if x is None:
-                raise ModelError("predict needs either x or a precomputed z")
-            z = self.encode(binding, x)
-        if a_row is None:
-            a_row = self.routing_row(binding, t)
-        fused = self.bank.route(a_row, z)
-        return self.heads[t].forward(binding, fused, detach=detach_heads)
+    def predict(self, binding: TapeBinding, z: T.Tensor, a=None,
+                detach_heads: bool = False) -> T.Tensor:
+        """Every task's prediction from the encoding ``z``, B x (T*o):
+        columns [t*o, (t+1)*o) are head t on task t's routed fusion.  ``a``
+        (T x K) defaults to the routing weights."""
+        if a is None:
+            a = self.routing.weights(binding)
+        weight, bias = self.heads.weights(binding, 0, detach_heads)
+        return T.add(self.bank.route(a, z, weight), bias)
 
     def head_parameters(self) -> list[Parameter]:
-        return [p for head in self.heads for p in head.parameters()]
+        return self.heads.parameters()
 
     def parameters(self) -> list[Parameter]:
         return [*self.bank.parameters(), self.routing.theta,
@@ -244,17 +243,12 @@ class MtlModel:
     # --- checkpointing ----------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Checkpoint arrays: each module's layers (views into the bank),
-        then the routing logits and the heads."""
-        net = self.bank.net
-        state = {}
-        for c in range(self.k):
-            for i in range(len(net.layers)):
-                for kind, view in zip(("weight", "bias"), net.block(c, i)):
-                    state[f"module{c}.layer{i}.{kind}"] = view
-        for p in [self.routing.theta, *self.head_parameters()]:
-            state[p.name] = p.value
-        return state
+        """Checkpoint arrays: each module's layers, then the routing logits,
+        then each head's layer, the modules and heads as views into the
+        fused layers."""
+        return {**self.bank.net.named_blocks("module"),
+                self.routing.theta.name: self.routing.theta.value,
+                **self.heads.named_blocks("head")}
 
     def load_state(self, arrays: dict):
         """Write every named array in place, once all names and shapes match."""

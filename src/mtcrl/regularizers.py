@@ -133,25 +133,42 @@ def graph_reg_loss(a, lambda_sps: float, lambda_bal: float) -> T.Tensor:
 
 
 def task_loss(pred: T.Tensor, labels: np.ndarray, kind: str) -> T.Tensor:
-    """Mean per-sample loss: squared error or softmax cross-entropy."""
+    """The T tasks' mean per-sample losses, 1 x T, of the B x (T*o)
+    predictions against the B x T labels: squared error (o = 1), or softmax
+    cross-entropy over o classes, scored as (B*T) x o logits."""
+    labels = np.asarray(labels).reshape(pred.shape[0], -1)
     if kind == "mse":
-        y = T.Tensor(np.asarray(labels, dtype=np.float64).reshape(pred.shape))
-        return T.mean(T.square(T.subtract(pred, y)))
-    if kind == "xent":
-        return T.mean(T.softmax_cross_entropy(pred, labels))
-    raise RegularizerError(f"unknown loss kind '{kind}'")
+        loss = T.square(T.subtract(pred, T.Tensor(labels.reshape(pred.shape))))
+    elif kind == "xent":
+        logits = T.reshape(pred, (labels.size, pred.size // labels.size))
+        loss = T.reshape(T.softmax_cross_entropy(logits, labels.ravel()),
+                         labels.shape)
+    else:
+        raise RegularizerError(f"unknown loss kind '{kind}'")
+    return T.mean(loss, axis=0, keepdims=True)
 
 
-def env_task_risk(model: MtlModel, binding: TapeBinding, batch, t: int,
-                  z=None, a_row=None, detach_heads: bool = False) -> T.Tensor:
-    """Mean task loss of task ``t`` over one environment batch."""
-    if t not in batch.labels:
-        raise EmptyBatchError(f"batch '{batch.env_id}' has no labels for task {t}")
+def task_labels(batch, tasks: int) -> np.ndarray:
+    """The B x T labels of tasks 0..T-1 in ``batch``."""
+    missing = [t for t in range(tasks) if t not in batch.labels]
+    if missing:
+        raise EmptyBatchError(
+            f"batch '{batch.env_id}' has no labels for tasks {missing}")
+    return np.column_stack([batch.labels[t] for t in range(tasks)])
+
+
+def env_task_risk(model: MtlModel, binding: TapeBinding, batch, z=None,
+                  a=None, detach_heads: bool = False) -> T.Tensor:
+    """Every task's mean loss over one environment batch, as one 1 x T
+    risk vector from one forward chain.  ``z`` reuses an encoding of the
+    batch on this tape, ``a`` an explicit T x K routing matrix."""
+    labels = task_labels(batch, model.tasks)
     if batch.inputs.shape[0] == 0:
         raise EmptyBatchError(f"batch '{batch.env_id}' is empty")
-    pred = model.predict(binding, t, x=batch.inputs, z=z, a_row=a_row,
-                         detach_heads=detach_heads)
-    return task_loss(pred, batch.labels[t], model.loss_kinds[t])
+    if z is None:
+        z = model.encode(binding, batch.inputs)
+    pred = model.predict(binding, z, a=a, detach_heads=detach_heads)
+    return task_loss(pred, labels, model.loss_kind)
 
 
 def environment_gradients(model: MtlModel, binding: TapeBinding, env_batches,
@@ -159,12 +176,12 @@ def environment_gradients(model: MtlModel, binding: TapeBinding, env_batches,
     """``({env_id: [dA_e, *head grads]}, {env_id: [risk per task]})`` in
     environment order, the gradients on the tape.
 
-    Each environment e builds its task risks on its own routing matrix
-    ``A_e`` and takes one create_graph gradient of their sum w.r.t.
-    ``A_e`` (T x K) and, with ``heads``, every head's leaves.  Row t of
-    ``A_e`` and head t feed only task t's risk, so row t of ``dA_e`` and
-    head t's gradients are exactly those of R_t^e.  ``encoded`` passes
-    ``(batch, z)`` pairs already encoded on this tape.
+    Each environment e builds its risk vector on its own routing matrix
+    ``A_e`` and takes one create_graph gradient of the risks' sum w.r.t.
+    ``A_e`` (T x K) and, with ``heads``, the head leaves.  Row t of ``A_e``
+    and head t's block feed only task t's risk, so their gradients are
+    exactly those of R_t^e.  ``encoded`` passes ``(batch, z)`` pairs
+    already encoded on this tape.
 
     Without ``heads`` the heads are detached: the per-task predictors are
     treated as fixed inside the invariance penalty, so it contributes
@@ -176,17 +193,11 @@ def environment_gradients(model: MtlModel, binding: TapeBinding, env_batches,
     grads, risks = {}, {}
     for batch in env_batches:
         z = next((z for b, z in encoded if b is batch), None)
-        if z is None:
-            z = model.encode(binding, batch.inputs)
         a = model.routing.weights(binding)
-        total = None
-        for t in range(model.tasks):
-            risk = env_task_risk(model, binding, batch, t, z=z,
-                                 a_row=T.narrow(a, 0, t, 1),
-                                 detach_heads=not heads)
-            risks.setdefault(batch.env_id, []).append(float(risk.data))
-            total = risk if total is None else T.add(total, risk)
-        grads[batch.env_id] = T.grad(total, [a, *head_leaves],
+        risk = env_task_risk(model, binding, batch, z=z, a=a,
+                             detach_heads=not heads)
+        risks[batch.env_id] = risk.data.ravel().tolist()
+        grads[batch.env_id] = T.grad(T.sum_(risk), [a, *head_leaves],
                                      create_graph=True)
     return grads, risks
 

@@ -11,13 +11,12 @@ from mtcrl.data import EnvironmentBatch
 from mtcrl.model import MtlModel, TapeBinding
 
 
-def make_model(tasks=2, k=2, input_dim=4, total_dim=4, seed=0, kinds=None,
-               head_out=None, hidden=(6,)):
+def make_model(tasks=2, k=2, input_dim=4, total_dim=4, seed=0, kind="mse",
+               head_out=1, hidden=(6,)):
     rng = np.random.default_rng(seed)
     return MtlModel(tasks=tasks, k=k, input_dim=input_dim, total_dim=total_dim,
                     encoder_hidden=hidden,
-                    head_out_dims=head_out or [1] * tasks,
-                    loss_kinds=kinds or ["mse"] * tasks, rng=rng)
+                    head_out=head_out, loss_kind=kind, rng=rng)
 
 
 def make_batch(input_dim=4, tasks=2, n=10, seed=0, int_labels=False):
@@ -39,8 +38,8 @@ class TestFactorGradient:
         rng = np.random.default_rng(1)
         w = np.array([0.7, -1.3, 0.0, 2.1])
         model = MtlModel(tasks=1, k=1, input_dim=4, total_dim=4,
-                         encoder_hidden=(), head_out_dims=[1],
-                         loss_kinds=["mse"], rng=rng)
+                         encoder_hidden=(), head_out=1,
+                         loss_kind="mse", rng=rng)
         model.load_state({**model.state_dict(),
                           "module0.layer0.weight": np.eye(4),
                           "module0.layer0.bias": np.zeros((1, 4)),
@@ -48,8 +47,9 @@ class TestFactorGradient:
                           "head0.layer0.bias": np.zeros((1, 1))})
         model.routing.theta.value[:] = 60.0  # routing weight ~ 1
         batch = make_batch(tasks=1, n=7, seed=2)
-        grad = factor_gradient(model, 0, batch)
-        np.testing.assert_allclose(grad, 7 * np.abs(w), atol=1e-9)
+        grad = factor_gradient(model, batch)
+        assert grad.shape == (1, 4)
+        np.testing.assert_allclose(grad[0], 7 * np.abs(w), atol=1e-9)
 
     def test_dead_input_dimension_gets_zero(self):
         model = make_model(seed=3)
@@ -58,7 +58,7 @@ class TestFactorGradient:
             state[f"module{c}.layer0.weight"][2, :] = 0.0  # input dim 2 disconnected
         model.load_state(state)
         batch = make_batch(seed=3)
-        assert factor_gradient(model, 0, batch)[2] == 0.0
+        np.testing.assert_array_equal(factor_gradient(model, batch)[:, 2], 0.0)
 
     def test_duplicated_dataset_doubles_gradient(self):
         model = make_model(seed=4)
@@ -67,30 +67,31 @@ class TestFactorGradient:
             "train", np.vstack([batch.inputs, batch.inputs]),
             {t: np.concatenate([v, v]) for t, v in batch.labels.items()},
             batch.causal_masks)
-        np.testing.assert_allclose(factor_gradient(model, 0, double),
-                                   2 * factor_gradient(model, 0, batch),
+        np.testing.assert_allclose(factor_gradient(model, double),
+                                   2 * factor_gradient(model, batch),
                                    rtol=1e-12)
 
     def test_matches_finite_differences(self):
-        model = make_model(seed=5, kinds=["xent", "xent"], head_out=[3, 3])
+        model = make_model(seed=5, kind="xent", head_out=3)
         batch = make_batch(seed=5, int_labels=True)
-        grad = factor_gradient(model, 1, batch)
-        labels = batch.labels[1].astype(int)
+        grad = factor_gradient(model, batch)
         step = 1e-6
 
-        def true_class_scores(x):
+        def true_class_scores(x, t):
             binding = TapeBinding(T.Tape())
-            out = model.predict(binding, 1, x=x).data
-            return out[np.arange(len(labels)), labels]
+            out = model.predict(binding, model.encode(binding, x)).data
+            labels = batch.labels[t].astype(int)
+            return out[np.arange(len(labels)), 3 * t + labels]
 
         numeric = np.zeros_like(grad)
-        for d in range(batch.input_dim):
-            up, down = batch.inputs.copy(), batch.inputs.copy()
-            up[:, d] += step
-            down[:, d] -= step
-            per_sample = (true_class_scores(up)
-                          - true_class_scores(down)) / (2 * step)
-            numeric[d] = np.abs(per_sample).sum()
+        for t in range(model.tasks):
+            for d in range(batch.input_dim):
+                up, down = batch.inputs.copy(), batch.inputs.copy()
+                up[:, d] += step
+                down[:, d] -= step
+                per_sample = (true_class_scores(up, t)
+                              - true_class_scores(down, t)) / (2 * step)
+                numeric[t, d] = np.abs(per_sample).sum()
         np.testing.assert_allclose(grad, numeric, rtol=1e-4, atol=1e-8)
 
 
@@ -167,7 +168,7 @@ class TestTaskModuleGradients:
             keep = model.routing.theta.value.copy()
             model.routing.theta.value = theta_value
             from mtcrl.regularizers import env_task_risk
-            out = env_task_risk(model, TapeBinding(T.Tape()), batch, 0).item()
+            out = env_task_risk(model, TapeBinding(T.Tape()), batch).data[0, 0]
             model.routing.theta.value = keep
             return out
 

@@ -121,6 +121,12 @@ class TestUsageErrors:
         ("train", quick_config_dict(seed=-1)),
         ("train", quick_config_dict(dataset={**QUICK_DATASET, "seed": -3})),
         ("gen-data", {"kind": "multimnist", "split_seed": -1}),
+        # ratios that cannot slice, and splits left with no class pair
+        *[("gen-data", {"kind": "multimnist", "ratios": ratios})
+          for ratios in ([1.5, 1, 1], [NAN, 1, 1], [True, 1, 1])],
+        *[("gen-data", {"kind": "multimnist", "num_classes": n})
+          for n in (0, 2)],
+        ("gen-data", {"kind": "multimnist", "ratios": [1, 1, 100]}),
     ])
     def test_bad_driver_config_exits_two(self, command, payload, tmp_path,
                                          capsys):
@@ -185,7 +191,8 @@ class TestFailedRun:
         # epoch 0's train risks wait for step 1, so valid is checked first
         assert diag["boundary"] == "the risks on 'valid'"
         assert diag["op"] == "matmul" and isinstance(diag["node"], int)
-        assert diag["parent_ops"] == ["matmul", "leaf"]
+        # the routed heads: the encoding times the mixed head weights
+        assert diag["parent_ops"] == ["add", "matmul"]
         assert (diag["epoch"], diag["step"]) == (0, 0)
         assert "epoch 0, step 0" in diag["error"]
 
@@ -351,9 +358,9 @@ class TestAnalyzeCommand:
         assert [summary["rho_spur"][str(t)] for t in range(2)] \
             == report["rho_spur"]
         cfg = config_from_dict(quick_config_dict())
-        train_b, valid_b, _, tasks, kinds, head_out = \
+        train_b, valid_b, _, tasks, kind, head_out = \
             harness._dataset_bundle(cfg)
-        model = harness._build_model(cfg, train_b.input_dim, tasks, kinds,
+        model = harness._build_model(cfg, train_b.input_dim, tasks, kind,
                                      head_out, seed_key=100)
         load_checkpoint(run_out / "checkpoint.json", model)
         _, rho = harness.spurious_scores(model, valid_b)

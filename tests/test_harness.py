@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mtcrl import analysis, harness
+from mtcrl import analysis, harness, presets
 from mtcrl import tensor as T
 from mtcrl.data import EnvironmentBatch, SemSpec, gen_multisem
 from mtcrl.harness import (ABLATION_VARIANTS, Adam, HarnessError, Sgd,
@@ -38,8 +38,8 @@ def quick_config(**overrides):
 def tiny_model(tasks=2, seed=0):
     rng = np.random.default_rng(seed)
     return MtlModel(tasks=tasks, k=2, input_dim=4, total_dim=4,
-                    encoder_hidden=(5,), head_out_dims=[1] * tasks,
-                    loss_kinds=["mse"] * tasks, rng=rng)
+                    encoder_hidden=(5,), head_out=1,
+                    loss_kind="mse", rng=rng)
 
 
 def tiny_batches(seed=0, n=16, input_dim=4, tasks=2):
@@ -135,18 +135,16 @@ class TestTrainStep:
         # reference: grad(loss) + lambda * grad(penalty), two passes over
         # one tape; step_gradients takes one pass over their weighted sum
         model = MtlModel(tasks=2, k=k, input_dim=4, total_dim=16,
-                         encoder_hidden=(5,), head_out_dims=[1, 1],
-                         loss_kinds=["mse", "mse"],
+                         encoder_hidden=(5,), head_out=1,
+                         loss_kind="mse",
                          rng=np.random.default_rng(7))
         train_b, valid_b = tiny_batches(seed=7)
         weights = PenaltyWeights(1.0, 0.1, 0.5, 3.0, variant)
         binding = TapeBinding(T.Tape())
         z = model.encode(binding, train_b.inputs)
         a = model.routing.weights(binding)
-        risk0, risk1 = (env_task_risk(model, binding, train_b, t, z=z,
-                                      a_row=T.narrow(a, 0, t, 1))
-                        for t in range(2))
-        loss = T.add(T.add(T.add(risk0, risk1),
+        risks = env_task_risk(model, binding, train_b, z=z, a=a)
+        loss = T.add(T.add(T.sum_(risks),
                            decorrelation_loss(z, k, weights.lambda_decor)),
                      graph_reg_loss(a, weights.lambda_sps, weights.lambda_bal))
         penalty, _ = girm_penalty(model, binding, [train_b, valid_b],
@@ -166,15 +164,24 @@ class TestTrainStep:
                                             (2, "norm"), (2, "irm-baseline")])
     def test_mixing_route_matches_expand_fold_reference(self, k, variant,
                                                         monkeypatch):
-        # reference: the route as (z * (a_row @ expand)) @ fold, whose row
-        # gradient goes through a B x d product instead of z^T @ g
-        def expand_fold(bank, a_row, z):
-            return T.matmul(T.multiply(z, T.matmul(a_row, bank._expand)),
-                            bank._fold)
+        # reference: the route task by task, each block as
+        # (z * (a_row @ expand)) @ fold, whose row gradient goes through a
+        # B x d product instead of z^T @ g, placed at its columns
+        def expand_fold(bank, a, z, weight):
+            tasks, m = a.shape[0], bank.module_dim
+            fold = T.Tensor(bank._fold.data[:, 0, :])
+            out = None
+            for t in range(tasks):
+                row = T.matmul(T.narrow(a, 0, t, 1), bank._expand)
+                block = T.matmul(T.multiply(z, row), fold)
+                part = T.scatter_narrow(block, 1, t * m,
+                                        (z.shape[0], tasks * m))
+                out = part if out is None else T.add(out, part)
+            return T.matmul(out, weight)
 
         model = MtlModel(tasks=2, k=k, input_dim=4, total_dim=16,
-                         encoder_hidden=(5,), head_out_dims=[1, 1],
-                         loss_kinds=["mse", "mse"],
+                         encoder_hidden=(5,), head_out=1,
+                         loss_kind="mse",
                          rng=np.random.default_rng(8))
         batches = tiny_batches(seed=8)
         weights = PenaltyWeights(1.0, 0.1, 0.5, 3.0, variant)
@@ -193,8 +200,8 @@ class TestTrainStep:
         # one-parameter linear model: loss = (w*x - y)^2, by-hand update
         rng = np.random.default_rng(0)
         model = MtlModel(tasks=1, k=1, input_dim=1, total_dim=1,
-                         encoder_hidden=(), head_out_dims=[1],
-                         loss_kinds=["mse"], rng=rng)
+                         encoder_hidden=(), head_out=1,
+                         loss_kind="mse", rng=rng)
         model.load_state({"module0.layer0.weight": np.array([[1.0]]),
                           "module0.layer0.bias": np.zeros((1, 1)),
                           "head0.layer0.weight": np.array([[2.0]]),
@@ -238,8 +245,8 @@ class TestTrainStep:
             from mtcrl.regularizers import PenaltyWeights
             assert False, "asserts are live"
             model = MtlModel(tasks=1, k=2, input_dim=2, total_dim=2,
-                             encoder_hidden=(), head_out_dims=[1],
-                             loss_kinds=["mse"], rng=np.random.default_rng(0))
+                             encoder_hidden=(), head_out=1,
+                             loss_kind="mse", rng=np.random.default_rng(0))
             batch = EnvironmentBatch("valid", np.ones((3, 2)),
                                      {0: np.ones(3)}, {0: np.ones(2, bool)})
             try:
@@ -277,8 +284,8 @@ class TestTrainStep:
             for k in (2, 8):
                 model = MtlModel(tasks=2, k=k, input_dim=4, total_dim=16,
                                  encoder_hidden=(5,),
-                                 head_out_dims=[1, 1],
-                                 loss_kinds=["mse", "mse"],
+                                 head_out=1,
+                                 loss_kind="mse",
                                  rng=np.random.default_rng(6))
                 tape = T.Tape()
                 grad_calls.clear()
@@ -293,6 +300,27 @@ class TestTrainStep:
                 assert len(grad_calls) == 3
                 assert len(encodes) == 2
             assert nodes[0] == nodes[1]
+
+    def test_tape_does_not_grow_with_task_count(self):
+        # one op chain routes, scores and differentiates every task: a
+        # mtcrl_sem_config step records the same nodes at T = 2, 4 and 8,
+        # no more than the 178 that one chain per task took at T = 2
+        nodes = []
+        for tasks in (2, 4, 8):
+            cfg = presets.mtcrl_sem_config(0)
+            cfg = replace(cfg, dataset=replace(cfg.dataset, tasks=tasks,
+                                               n_train=60, n_valid=60,
+                                               n_test=60))
+            train_b, valid_b, _, tasks, kind, head_out = \
+                harness._dataset_bundle(cfg)
+            model = harness._build_model(cfg, train_b.input_dim, tasks, kind,
+                                         head_out, seed_key=100)
+            envs = harness.split_environments(train_b, valid_b)
+            tape = T.Tape()
+            train_step(model, envs[0], envs, cfg.weights, Adam(1e-2),
+                       tape=tape)
+            nodes.append(len(tape.nodes))
+        assert nodes[0] == nodes[1] == nodes[2] <= 178
 
     def test_nonfinite_loss_aborts(self):
         model = tiny_model(seed=5)
@@ -377,10 +405,11 @@ class TestFiniteness:
 
     def test_nonfinite_gradient_is_never_applied(self):
         # z ~ 1e210 and head weights ~ 1e-100: the loss (~1e220) is finite,
-        # the head weights' gradient (~1e320) is not
+        # z^T @ dL/dpred (~1e320), and so the routing and head gradients
+        # through it, are not
         model = MtlModel(tasks=2, k=2, input_dim=4, total_dim=4,
-                         encoder_hidden=(), head_out_dims=[1, 1],
-                         loss_kinds=["mse", "mse"],
+                         encoder_hidden=(), head_out=1,
+                         loss_kind="mse",
                          rng=np.random.default_rng(4))
         for p in model.parameters():
             if p.name == "bank.layer0.weight":
@@ -391,7 +420,7 @@ class TestFiniteness:
         opt = Adam(1e-2)
         before = _state(model, opt)
         with pytest.raises(T.NonFiniteError,
-                           match="gradient of head0.layer0.weight"):
+                           match="gradient of routing.theta"):
             train_step(model, batches[0], batches,
                        PenaltyWeights(0, 0, 0, 0, "none"), opt)
         _assert_same_state(before, _state(model, opt))
@@ -413,9 +442,8 @@ class TestFiniteness:
         # weights ~1e-20 the routing gradients (~1e140) and so the detached
         # var penalty stay finite
         model = tiny_model(seed=5)
-        for head in model.heads:
-            for p in head.parameters():
-                p.value[:] *= 1e-20
+        for p in model.head_parameters():
+            p.value[:] *= 1e-20
         train_b, valid_b = tiny_batches(seed=5)
         valid_b = replace(valid_b, labels={t: y * 1e160
                                            for t, y in valid_b.labels.items()})
@@ -533,7 +561,7 @@ class TestAcyclicTape:
     def test_analysis_leaves_no_cyclic_garbage(self, name):
         _, (model,) = train(quick_config(mode="mtcrl", epochs=2))
         train_b, valid_b, _ = gen_multisem(QUICK_SPEC)
-        args = {"factor_gradient": (model, 0, train_b),
+        args = {"factor_gradient": (model, train_b),
                 "module_corr_heatmap": (model, train_b),
                 "task_module_gradients": (model, [train_b, valid_b])}[name]
         assert cyclic_garbage(partial(getattr(analysis, name), *args)) == 0
@@ -630,8 +658,8 @@ class TestEvaluate:
         classes = 1 if kind == "mse" else 3
         for seed, variant in enumerate(("var", "norm", "irm-baseline")):
             model = MtlModel(tasks=3, k=2, input_dim=4, total_dim=8,
-                             encoder_hidden=(5,), head_out_dims=[classes] * 3,
-                             loss_kinds=[kind] * 3,
+                             encoder_hidden=(5,), head_out=classes,
+                             loss_kind=kind,
                              rng=np.random.default_rng(seed))
             batches = tiny_batches(seed=seed, n=150, tasks=3)
             if kind == "xent":
@@ -648,6 +676,64 @@ class TestEvaluate:
                                      PenaltyWeights(1.0, 0.1, 0.5, 0.0,
                                                     variant))
             assert "valid_risks" not in bare
+
+
+def per_task_reference(model, batch):
+    """``evaluate``'s risks and accuracies and ``factor_gradient``'s
+    saliency, task by task in plain numpy from the checkpoint arrays of a
+    model with one tanh hidden layer."""
+    s, x, a = model.state_dict(), batch.inputs, model.routing.matrix()
+    layers = [[s[f"module{c}.layer{i}.weight"] for i in (0, 1)]
+              for c in range(model.k)]
+    hidden = [np.tanh(x @ w0 + s[f"module{c}.layer0.bias"])
+              for c, (w0, _) in enumerate(layers)]
+    z = [h @ w1 + s[f"module{c}.layer1.bias"]
+         for c, (h, (_, w1)) in enumerate(zip(hidden, layers))]
+    risks, accs, saliency = [], [], []
+    for t in range(model.tasks):
+        w, y = s[f"head{t}.layer0.weight"], batch.labels[t]
+        out = (sum(a[t, c] * z[c] for c in range(model.k)) @ w
+               + s[f"head{t}.layer0.bias"])
+        if model.loss_kind == "mse":
+            risks.append(np.mean((out[:, 0] - y) ** 2))
+            accs.append(np.mean(np.where(out[:, 0] >= 0, 1.0, -1.0) == y))
+            picked = np.repeat(w.T, len(y), axis=0)
+        else:
+            shifted = out - out.max(axis=1, keepdims=True)
+            logp = shifted - np.log(np.exp(shifted).sum(axis=1,
+                                                        keepdims=True))
+            risks.append(-np.mean(logp[np.arange(len(y)), y]))
+            accs.append(np.mean(out.argmax(axis=1) == y))
+            picked = w[:, y].T
+        # d(score of row b) / d(x_b), module by module through the tanh
+        grad = sum(a[t, c] * ((picked @ w1.T) * (1 - h ** 2)) @ w0.T
+                   for c, (h, (w0, w1)) in enumerate(zip(hidden, layers)))
+        saliency.append(np.abs(grad).sum(axis=0))
+    return risks, accs, np.array(saliency)
+
+
+class TestPerTaskReference:
+    """One forward chain for all tasks gives what each task's own chain
+    gives."""
+
+    @pytest.mark.parametrize("kind, classes", [("mse", 1), ("xent", 3)])
+    def test_evaluate_and_saliency_match(self, kind, classes):
+        rng = np.random.default_rng(30)
+        model = MtlModel(tasks=2, k=3, input_dim=5, total_dim=6,
+                         encoder_hidden=(4,), head_out=classes,
+                         loss_kind=kind, rng=rng)
+        model.routing.theta.value[...] = rng.normal(size=(2, 3))
+        batch = tiny_batches(seed=30, n=40, input_dim=5)[1]
+        if kind == "xent":
+            batch.labels = {t: rng.integers(0, classes, size=40)
+                            for t in range(2)}
+        risks, accs, saliency = per_task_reference(model, batch)
+        got = evaluate(model, batch)
+        np.testing.assert_allclose(got["risks"], risks, rtol=1e-13)
+        assert got["accuracy"] == accs
+        assert 0 < min(accs) and max(accs) < 1
+        np.testing.assert_allclose(analysis.factor_gradient(model, batch),
+                                   saliency, rtol=1e-12)
 
 
 class TestMultiMnistEndToEnd:

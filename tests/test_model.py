@@ -5,24 +5,29 @@ import numpy as np
 import pytest
 
 from mtcrl import tensor as T
-from mtcrl.model import (ModelError, MtlModel, TapeBinding, UnknownTaskError,
-                         RoutingGraph, load_checkpoint, save_checkpoint)
+from mtcrl.model import (ModelError, MtlModel, TapeBinding, RoutingGraph,
+                         load_checkpoint, save_checkpoint)
 from mtcrl.oracles import BayesParams, bayes_posterior
 
 DATA = Path(__file__).parent / "data"
 
 
 def make_model(tasks=2, k=4, input_dim=6, total_dim=8, hidden=(5,), seed=0,
-               head_out=None, kinds=None):
+               head_out=1, kind="mse"):
     rng = np.random.default_rng(seed)
     return MtlModel(tasks=tasks, k=k, input_dim=input_dim, total_dim=total_dim,
                     encoder_hidden=hidden,
-                    head_out_dims=head_out or [1] * tasks,
-                    loss_kinds=kinds or ["mse"] * tasks, rng=rng)
+                    head_out=head_out, loss_kind=kind, rng=rng)
 
 
 def fresh_binding():
     return TapeBinding(T.Tape())
+
+
+def predict(model, x):
+    """Every task's prediction for the inputs ``x``."""
+    binding = fresh_binding()
+    return model.predict(binding, model.encode(binding, x))
 
 
 def set_arrays(model, arrays):
@@ -102,29 +107,34 @@ class TestRoute:
         with pytest.raises(ModelError, match="routing row"):
             bank.route(T.Tensor(np.zeros((1, 2))), T.Tensor(np.zeros((2, 6))))
 
-    @pytest.mark.parametrize("k", [2, 4, 8])
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
     def test_matches_per_module_sum(self, k):
+        # task t's block of the output is sum_i a[t, i] * module i's columns
         bank = make_model(k=k, total_dim=2 * k).bank
         rng = np.random.default_rng(k)
-        z, g = rng.normal(size=(5, 2 * k)), rng.normal(size=(5, 2))
-        a = rng.uniform(size=(1, k))
+        z = rng.normal(size=(5, 2 * k))
         blocks = [z[:, 2 * i:2 * i + 2] for i in range(k)]
-        tape = T.Tape()
-        row = tape.leaf(a)
-        out = bank.route(row, T.Tensor(z))
-        ref = sum(a[0, i] * blocks[i] for i in range(k))
-        np.testing.assert_allclose(out.data, ref, rtol=0,
-                                   atol=1e-15 * np.abs(ref).max())
-        # d/da_i of sum(out * g) is sum(z_i * g)
-        got, = T.grad(T.sum_(T.multiply(out, T.Tensor(g))), [row])
-        expected = [np.sum(b * g) for b in blocks]
-        np.testing.assert_allclose(got.data[0], expected, rtol=1e-13)
+        for tasks in (1, 3):
+            g = rng.normal(size=(5, 2 * tasks))
+            a = rng.uniform(size=(tasks, k))
+            tape = T.Tape()
+            leaf = tape.leaf(a)
+            out = bank.route(leaf, T.Tensor(z))
+            ref = np.hstack([sum(a[t, i] * blocks[i] for i in range(k))
+                             for t in range(tasks)])
+            np.testing.assert_allclose(out.data, ref, rtol=0,
+                                       atol=1e-15 * np.abs(ref).max())
+            # d/da[t, i] of sum(out * g) is sum(z_i * g_t)
+            got, = T.grad(T.sum_(T.multiply(out, T.Tensor(g))), [leaf])
+            expected = [[np.sum(b * g[:, 2 * t:2 * t + 2]) for b in blocks]
+                        for t in range(tasks)]
+            np.testing.assert_allclose(got.data, expected, rtol=1e-13)
 
-        def f(row, z):
-            return T.sum_(T.square(T.subtract(bank.route(row, z), g)))
+            def f(a, z):
+                return T.sum_(T.square(T.subtract(bank.route(a, z), g)))
 
-        for order in (1, 2):
-            assert T.finite_diff_check(f, [a, z], order=order) < 1e-7
+            for order in (1, 2):
+                assert T.finite_diff_check(f, [a, z], order=order) < 1e-7
 
     def test_records_one_batch_sized_node(self):
         # B = 5 rows, d = 16 columns: only the final product is B x m
@@ -169,21 +179,17 @@ class TestRoutingWeights:
 
 class TestPredict:
     def test_identity_head_one_hot_routing(self):
-        model = make_model(k=2, total_dim=4, hidden=(), head_out=[2, 2])
+        model = make_model(k=2, total_dim=4, hidden=(), head_out=2)
         # head 0 := identity on the fused representation
-        w, b = model.heads[0].layers[0]
-        w.value = np.eye(2)
-        b.value[:] = 0.0
+        set_arrays(model, {"head0.layer0.weight": np.eye(2),
+                           "head0.layer0.bias": np.zeros((1, 2))})
         model.routing.theta.value[0] = [60.0, -60.0]  # saturates to (1, 0)
         binding = fresh_binding()
         x = np.random.default_rng(4).normal(size=(3, 6))
         z = model.encode(binding, x)
-        out = model.predict(binding, 0, z=z)
-        np.testing.assert_allclose(out.data, z.data[:, :2], atol=1e-12)
-
-    def test_unknown_task(self):
-        with pytest.raises(UnknownTaskError):
-            make_model().predict(fresh_binding(), 5, x=np.ones((1, 6)))
+        out = model.predict(binding, z)
+        assert out.shape == (3, 2 * 2)  # two tasks, two outputs each
+        np.testing.assert_allclose(out.data[:, :2], z.data[:, :2], atol=1e-12)
 
     def test_sign_agrees_with_bayes_classifier_on_noiseless_inputs(self):
         # weights set to the fully-coupled closed-form classifier [2ba, 2bb]
@@ -192,7 +198,7 @@ class TestPredict:
         mu_a, mu_b = rng.normal(size=d), rng.normal(size=d)
         params = BayesParams.from_moments(mu_a, 1.0, mu_b, 1.0, 1.0)
         model = make_model(tasks=1, k=1, input_dim=2 * d, total_dim=2 * d,
-                           hidden=(), head_out=[1])
+                           hidden=(), head_out=1)
         set_arrays(model, {
             "module0.layer0.weight": np.eye(2 * d),
             "module0.layer0.bias": np.zeros((1, 2 * d)),
@@ -204,15 +210,15 @@ class TestPredict:
         for y_a, y_b in [(1, 1), (-1, -1)]:  # noiseless: F = y * mu
             f_a, f_b = y_a * mu_a, y_b * mu_b
             x = np.concatenate([f_a, f_b])[None, :]
-            pred = model.predict(fresh_binding(), 0, x=x).item()
+            pred = predict(model, x).item()
             post = bayes_posterior(f_a, f_b, params)
             assert (pred >= 0) == (post >= 0.5)
 
     def test_k1_t1_equals_plain_feedforward_exactly(self):
         model = make_model(tasks=1, k=1, input_dim=6, total_dim=8, hidden=(5,),
-                           head_out=[1])
+                           head_out=1)
         x = np.random.default_rng(6).normal(size=(4, 6))
-        out = model.predict(fresh_binding(), 0, x=x).data
+        out = predict(model, x).data
         # same arithmetic chain with plain numpy; tanh only between layers
         s = model.state_dict()
         h = (np.tanh(x @ s["module0.layer0.weight"] + s["module0.layer0.bias"])
@@ -222,25 +228,31 @@ class TestPredict:
         np.testing.assert_array_equal(out, expected)
 
     def test_routing_linearity(self):
-        model = make_model(k=3, total_dim=6, head_out=[1, 1])
+        model = make_model(k=3, total_dim=6, head_out=1)
         binding = fresh_binding()
         x = np.random.default_rng(7).normal(size=(4, 6))
         z = model.encode(binding, x)
-        coeffs = np.array([[0.2, 0.5, 0.3]])
+        coeffs = np.array([[0.2, 0.5, 0.3], [0.7, 0.0, 0.1]])
         fused = model.bank.route(T.Tensor(coeffs), z)
-        manual = sum(c * z.data[:, 2 * i:2 * i + 2]
-                     for i, c in enumerate(coeffs[0]))
+        manual = np.hstack([sum(c * z.data[:, 2 * i:2 * i + 2]
+                                for i, c in enumerate(row)) for row in coeffs])
         np.testing.assert_allclose(fused.data, manual, atol=1e-15)
-        via_head = model.heads[0].forward(binding, fused).data
-        direct = model.heads[0].forward(binding, T.Tensor(manual)).data
+        via_head = model.heads.forward(binding, fused).data
+        direct = model.heads.forward(binding, T.Tensor(manual)).data
         np.testing.assert_allclose(via_head, direct, atol=1e-15)
+        # each head reads only its own task's block
+        s = model.state_dict()
+        for t in range(2):
+            own = (manual[:, 2 * t:2 * t + 2] @ s[f"head{t}.layer0.weight"]
+                   + s[f"head{t}.layer0.bias"])
+            np.testing.assert_allclose(via_head[:, t:t + 1], own, atol=1e-15)
 
     def test_gradient_flows_to_theta(self):
         model = make_model()
         tape = T.Tape()
         binding = TapeBinding(tape)
         x = np.random.default_rng(8).normal(size=(5, 6))
-        pred = model.predict(binding, 0, x=x)
+        pred = model.predict(binding, model.encode(binding, x))
         loss = T.mean(T.square(pred))
         theta_leaf = binding.leaf(model.routing.theta)
         g, = T.grad(loss, [theta_leaf])
@@ -253,7 +265,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, model, "abc123")
         clone = make_model(seed=10)
-        clone.heads[0].layers[0][0].value += 1.0
+        clone.state_dict()["head0.layer0.weight"][...] += 1.0
         assert load_checkpoint(path, clone) == "abc123"
         for p, q in zip(model.parameters(), clone.parameters()):
             np.testing.assert_array_equal(p.value, q.value)
@@ -270,7 +282,7 @@ class TestCheckpoint:
         model = make_model(seed=11)
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, model, "h")
-        other = make_model(seed=12, head_out=[1, 2])  # last array differs
+        other = make_model(seed=12, head_out=2)  # head arrays differ
         before = {n: v.copy() for n, v in other.state_dict().items()}
         with pytest.raises(ModelError, match="shape"):
             load_checkpoint(path, other)
@@ -283,7 +295,7 @@ class TestCheckpoint:
         # 1639 x 5 first-layer weights per module span three 4096-value
         # chunks
         model = make_model(k=k, input_dim=input_dim, total_dim=8, seed=13,
-                           head_out=[1, 3], kinds=["mse", "xent"])
+                           head_out=3, kind="xent")
         set_arrays(model, {"routing.theta": np.array([[np.nan] * k,
                                                       [-np.inf] * k])})
         path = tmp_path / "ckpt.json"

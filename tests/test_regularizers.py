@@ -10,16 +10,16 @@ from mtcrl.regularizers import (EmptyBatchError, PenaltyWeights, RegularizerErro
                                 env_task_risk, environment_gradients,
                                 girm_norm_penalty, girm_penalty,
                                 girm_var_penalty, graph_reg_loss,
-                                irm_baseline_penalty, pearson_corr)
+                                irm_baseline_penalty, pearson_corr,
+                                task_loss)
 
 
-def make_model(tasks=2, k=3, input_dim=4, total_dim=6, seed=0, kinds=None,
-               head_out=None):
+def make_model(tasks=2, k=3, input_dim=4, total_dim=6, seed=0, kind="mse",
+               head_out=1):
     rng = np.random.default_rng(seed)
     return MtlModel(tasks=tasks, k=k, input_dim=input_dim, total_dim=total_dim,
                     encoder_hidden=(5,),
-                    head_out_dims=head_out or [1] * tasks,
-                    loss_kinds=kinds or ["mse"] * tasks, rng=rng)
+                    head_out=head_out, loss_kind=kind, rng=rng)
 
 
 def make_batches(input_dim=4, tasks=2, n=12, seed=0):
@@ -165,32 +165,35 @@ class TestEnvTaskRisk:
         batch = make_batches()[0]
         # craft labels equal to the model's own predictions
         binding = TapeBinding(T.Tape())
-        pred = model.predict(binding, 0, x=batch.inputs).data.ravel()
-        batch.labels[0] = pred
-        risk = env_task_risk(model, TapeBinding(T.Tape()), batch, 0)
-        assert risk.item() == pytest.approx(0.0, abs=1e-15)
+        pred = model.predict(binding, model.encode(binding, batch.inputs))
+        for t in range(model.tasks):
+            batch.labels[t] = pred.data[:, t]
+        risk = env_task_risk(model, TapeBinding(T.Tape()), batch)
+        assert risk.shape == (1, model.tasks)
+        np.testing.assert_allclose(risk.data, 0.0, atol=1e-15)
 
     def test_uniform_logits_log_c(self):
         n_classes = 5
-        model = make_model(kinds=["xent", "xent"], seed=3,
-                           head_out=[n_classes, n_classes])
-        for p in model.heads[0].parameters():
-            p.value[:] = 0.0  # all-zero head: logits equal, softmax uniform
+        model = make_model(kind="xent", seed=3, head_out=n_classes)
+        state = model.state_dict()
+        for name in ("head0.layer0.weight", "head0.layer0.bias"):
+            state[name][...] = 0.0  # all-zero head: logits equal, uniform
         rng = np.random.default_rng(0)
         batch = EnvironmentBatch(
             "train", rng.normal(size=(6, 4)),
             {0: rng.integers(0, n_classes, size=6),
              1: rng.integers(0, n_classes, size=6)},
             {0: np.zeros(4, bool), 1: np.zeros(4, bool)})
-        risk = env_task_risk(model, TapeBinding(T.Tape()), batch, 0)
-        assert risk.item() == pytest.approx(np.log(n_classes), abs=1e-12)
+        risk = env_task_risk(model, TapeBinding(T.Tape()), batch)
+        assert risk.data[0, 0] == pytest.approx(np.log(n_classes), abs=1e-12)
+        assert risk.data[0, 1] != pytest.approx(np.log(n_classes), abs=1e-3)
 
     def test_hand_built_two_sample_batch(self):
         # linear model y_hat = x @ w with w = [1, -1]; mse by hand
         rng = np.random.default_rng(0)
         model = MtlModel(tasks=1, k=1, input_dim=2, total_dim=2,
-                         encoder_hidden=(), head_out_dims=[1],
-                         loss_kinds=["mse"], rng=rng)
+                         encoder_hidden=(), head_out=1,
+                         loss_kind="mse", rng=rng)
         model.load_state({**model.state_dict(),
                           "module0.layer0.weight": np.eye(2),
                           "module0.layer0.bias": np.zeros((1, 2)),
@@ -200,17 +203,32 @@ class TestEnvTaskRisk:
         x = np.array([[1.0, 2.0], [3.0, 1.0]])
         y = np.array([0.0, 1.0])
         batch = EnvironmentBatch("train", x, {0: y}, {0: np.zeros(2, bool)})
-        risk = env_task_risk(model, TapeBinding(T.Tape()), batch, 0)
+        risk = env_task_risk(model, TapeBinding(T.Tape()), batch)
         preds = x @ np.array([1.0, -1.0])
         expected = np.mean((preds - y) ** 2)
         assert risk.item() == pytest.approx(expected, rel=1e-9)
 
     def test_empty_batch_rejected(self):
         model = make_model()
-        empty = EnvironmentBatch("train", np.zeros((0, 4)), {0: np.zeros(0)},
-                                 {0: np.zeros(4, bool)})
-        with pytest.raises(EmptyBatchError):
-            env_task_risk(model, TapeBinding(T.Tape()), empty, 0)
+        empty = EnvironmentBatch("train", np.zeros((0, 4)),
+                                 {0: np.zeros(0), 1: np.zeros(0)},
+                                 {0: np.zeros(4, bool), 1: np.zeros(4, bool)})
+        with pytest.raises(EmptyBatchError, match="is empty"):
+            env_task_risk(model, TapeBinding(T.Tape()), empty)
+
+    def test_mse_labels_must_cover_every_task(self):
+        # one label column for two tasks' predictions must not broadcast
+        pred = T.Tensor(np.zeros((4, 2)))
+        assert task_loss(pred, np.ones((4, 2)), "mse").shape == (1, 2)
+        with pytest.raises(ValueError):
+            task_loss(pred, np.ones(4), "mse")
+
+    def test_missing_task_labels_rejected(self):
+        model = make_model()
+        batch = make_batches()[0]
+        del batch.labels[1]
+        with pytest.raises(EmptyBatchError, match=r"no labels for tasks \[1\]"):
+            env_task_risk(model, TapeBinding(T.Tape()), batch)
 
 
 def constant_grad_set(per_env):
@@ -263,10 +281,11 @@ class TestGirmPenalties:
 
     def test_one_inner_call_equals_per_pair_gradients(self):
         # one inner gradient per environment gives each (task, environment)
-        # risk's routing-row and head gradients and its value bit for bit
+        # risk's routing-row and head-block gradients and its value bit for
+        # bit; the gradient of R_t^e alone is zero off row t and head t
         model = make_model(seed=13)
         batches = make_batches(seed=13)
-        n_head = len(model.heads[0].parameters())
+        m, o = model.bank.module_dim, 1
         for heads in (False, True):
             gs, risks = environment_gradients(model, TapeBinding(T.Tape()),
                                               batches, heads=heads)
@@ -274,23 +293,28 @@ class TestGirmPenalties:
             for batch in batches:
                 dA, *head_grads = gs[batch.env_id]
                 assert dA.shape == (model.tasks, model.k)
-                assert len(head_grads) == (model.tasks * n_head if heads
-                                           else 0)
-                binding = TapeBinding(T.Tape())
-                z = model.encode(binding, batch.inputs)
+                assert len(head_grads) == (2 if heads else 0)
                 for t in range(model.tasks):
-                    row = model.routing_row(binding, t)
-                    leaves = (binding.leaves_for(model.heads[t].parameters())
+                    tape = T.Tape()
+                    binding = TapeBinding(tape)
+                    a = model.routing.weights(binding)
+                    leaves = (binding.leaves_for(model.head_parameters())
                               if heads else [])
-                    risk = env_task_risk(model, binding, batch, t, z=z,
-                                         a_row=row, detach_heads=not heads)
-                    ref = T.grad(risk, [row, *leaves])
-                    np.testing.assert_array_equal(dA.data[t:t + 1],
-                                                  ref[0].data)
-                    for g, r in zip(head_grads[t * n_head:], ref[1:]):
-                        np.testing.assert_array_equal(g.data, r.data)
-                    np.testing.assert_array_equal(risks[batch.env_id][t],
-                                                  risk.item())
+                    risk = env_task_risk(model, binding, batch, a=a,
+                                         detach_heads=not heads)
+                    ref = T.grad(T.narrow(risk, 1, t, 1), [a, *leaves])
+                    np.testing.assert_array_equal(dA.data[t], ref[0].data[t])
+                    others = np.arange(model.tasks) != t
+                    np.testing.assert_array_equal(ref[0].data[others], 0.0)
+                    blocks = ((slice(t * m, (t + 1) * m), slice(None)),
+                              (slice(None), slice(None)))
+                    for g, r, rows in zip(head_grads, ref[1:], blocks):
+                        own = (rows[0], slice(t * o, (t + 1) * o))
+                        np.testing.assert_array_equal(g.data[own], r.data[own])
+                        rest = r.data.copy()
+                        rest[own] = 0.0
+                        np.testing.assert_array_equal(rest, 0.0)
+                    assert risks[batch.env_id][t] == risk.data[0, t]
 
     def test_reused_encoding_gives_same_penalty(self):
         model = make_model(seed=14)
@@ -360,25 +384,25 @@ class TestGirmPenalties:
         added = []
         for hidden in ((32,), (32, 32)):
             model = MtlModel(tasks=2, k=3, input_dim=4, total_dim=6,
-                             encoder_hidden=hidden, head_out_dims=[1, 1],
-                             loss_kinds=["mse", "mse"],
+                             encoder_hidden=hidden, head_out=1,
+                             loss_kind="mse",
                              rng=np.random.default_rng(0))
             batch = make_batches(seed=1)[0]
             tape = T.Tape()
             binding = TapeBinding(tape)
             z = model.encode(binding, batch.inputs)
-            row = model.routing_row(binding, 0)
-            risk = env_task_risk(model, binding, batch, 0, z=z, a_row=row,
+            a = model.routing.weights(binding)
+            risk = env_task_risk(model, binding, batch, z=z, a=a,
                                  detach_heads=True)
             n_before = len(tape.nodes)
-            T.grad(risk, [row], create_graph=True)
+            T.grad(T.sum_(risk), [a], create_graph=True)
             added.append(len(tape.nodes) - n_before)
         assert added[0] == added[1]
 
     def test_irm_baseline_decomposes(self):
         # the baseline is the routing-gradient norm plus the squared norms
-        # of per-(task, environment) head gradients, and it reports the
-        # risks it builds
+        # of the per-environment head gradients, and it reports the risks
+        # it builds
         model = make_model(seed=8)
         batches = make_batches(seed=8)
         total, risks = irm_baseline_penalty(model, TapeBinding(T.Tape()),
@@ -390,19 +414,15 @@ class TestGirmPenalties:
                                               batches, heads=True)
         head_part = 0.0
         for batch in batches:
-            b3 = TapeBinding(T.Tape())
-            z = model.encode(b3, batch.inputs)
-            head_grads = with_heads[batch.env_id][1:]
-            ref_risks = []
-            for t in range(model.tasks):
-                risk = env_task_risk(model, b3, batch, t, z=z)
-                ref_risks.append(risk.item())
-                leaves = b3.leaves_for(model.heads[t].parameters())
-                for g in T.grad(risk, leaves):
-                    np.testing.assert_array_equal(head_grads.pop(0).data,
-                                                  g.data)
-                    head_part += float((g.data ** 2).sum())
-            np.testing.assert_array_equal(risks[batch.env_id], ref_risks)
+            tape3 = T.Tape()
+            b3 = TapeBinding(tape3)
+            risk = env_task_risk(model, b3, batch)
+            leaves = b3.leaves_for(model.head_parameters())
+            ref = T.grad(T.sum_(risk), leaves)
+            for g, r in zip(with_heads[batch.env_id][1:], ref):
+                np.testing.assert_array_equal(g.data, r.data)
+                head_part += float((r.data ** 2).sum())
+            assert risks[batch.env_id] == risk.data.ravel().tolist()
         assert total.item() == pytest.approx(routing_part + head_part,
                                              rel=1e-9)
 
@@ -420,7 +440,7 @@ class TestGirmPenalties:
             m = model.bank.module_dim
             fused = sum(model.routing.matrix()[0, i] * z[:, i * m:(i + 1) * m]
                         for i in range(model.k))
-            pred = model.predict(binding, 0, x=x).data.ravel()
+            pred = model.predict(binding, model.encode(binding, x)).data[:, 0]
             basis = np.column_stack([fused, np.ones(12)])
             raw = rng.normal(size=12)
             resid = raw - basis @ np.linalg.lstsq(basis, raw, rcond=None)[0]
