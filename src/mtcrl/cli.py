@@ -68,8 +68,9 @@ def _load_json(path) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # a directory, bad UTF-8, bad JSON
+        raise UsageError(f"config file {path} is not readable JSON: "
+                         f"{exc}") from exc
 
 
 def _out_dir(args) -> Path:
@@ -274,13 +275,14 @@ def cmd_analyze(args) -> int:
     model = harness._build_model(cfg, train_b.input_dim, tasks, kind,
                                  head_out, seed_key=100)
     if args.checkpoint:
-        if not os.path.exists(args.checkpoint):
-            raise UsageError(f"checkpoint not found: {args.checkpoint}")
         try:
             stored = load_checkpoint(args.checkpoint, model)
-        except (ValueError, KeyError, TypeError, ModelError) as exc:
+        except OSError as exc:
+            raise UsageError(f"checkpoint {args.checkpoint} cannot be read: "
+                             f"{exc}") from exc
+        except ModelError as exc:
             raise UsageError(f"checkpoint {args.checkpoint} is not a "
-                             f"checkpoint of this model: {exc!r}") from exc
+                             f"checkpoint of this model: {exc}") from exc
         expected = harness.config_hash(cfg)
         if stored != expected:
             raise UsageError(

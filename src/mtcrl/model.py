@@ -11,6 +11,7 @@ penalty passes detach the heads this way).
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 
@@ -264,29 +265,64 @@ class MtlModel:
 
 
 def save_checkpoint(path, model: MtlModel, config_hash: str):
-    """Write ``{"config_hash", "arrays": {name: {"shape", "data"}}}`` as
-    JSON, 4096 values at a time, so the weights are never all Python floats
-    at once; the bytes equal ``json.dump`` of the whole payload."""
+    """Write ``{"config_hash": str, "arrays": {name: {"shape": [...],
+    "float64_le": str}}}`` as JSON: one entry per ``state_dict`` view, in
+    its order, each the standard base64 of the array's row-major
+    little-endian float64 bytes.  Arrays are encoded one at a time, and the
+    bytes equal ``json.dumps`` of the whole payload."""
     dumps = json.dumps
-    with open(path, "w") as fh:
-        fh.write(f'{{"config_hash": {dumps(config_hash)}, "arrays": {{')
+    with open(path, "wb") as fh:
+        fh.write(f'{{"config_hash": {dumps(config_hash)}, "arrays": {{'
+                 .encode())
         for i, (name, val) in enumerate(model.state_dict().items()):
-            fh.write(f'{", " if i else ""}{dumps(name)}: '
-                     f'{{"shape": {dumps(list(val.shape))}, "data": [')
-            flat = val.ravel()
-            for lo in range(0, flat.size, 4096):
-                values = dumps(flat[lo:lo + 4096].tolist())[1:-1]
-                fh.write(f'{", " if lo else ""}{values}')
-            fh.write("]}")
-        fh.write("}}")
+            fh.write(f'{", " if i else ""}{dumps(name)}: {{"shape": '
+                     f'{dumps(list(val.shape))}, "float64_le": "'.encode())
+            fh.write(base64.b64encode(np.ascontiguousarray(val, "<f8")))
+            fh.write(b'"}')
+        fh.write(b"}}")
+
+
+def _decode_entry(name: str, entry) -> np.ndarray:
+    """One checkpoint entry as an array; ModelError if it is malformed."""
+    if isinstance(entry, dict) and "data" in entry:
+        raise ModelError(f"'{name}' is in the old decimal-list checkpoint "
+                         f"format, which is no longer read")
+    if not isinstance(entry, dict) or set(entry) != {"shape", "float64_le"}:
+        raise ModelError(f"'{name}' is not a {{\"shape\", \"float64_le\"}} "
+                         f"entry")
+    shape, text = entry["shape"], entry["float64_le"]
+    if not isinstance(shape, list) or not all(
+            type(n) is int and n >= 0 for n in shape):
+        raise ModelError(f"'{name}' has shape {shape!r}, not a list of "
+                         f"non-negative integers")
+    if not isinstance(text, str):
+        raise ModelError(f"'{name}' float64_le is not a string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ModelError(f"'{name}' is not standard base64: {exc}") from exc
+    if len(raw) != 8 * math.prod(shape):
+        raise ModelError(f"'{name}' holds {len(raw)} bytes, but shape "
+                         f"{shape} needs {8 * math.prod(shape)}")
+    return np.frombuffer(raw, "<f8").reshape(shape)
 
 
 def load_checkpoint(path, model: MtlModel) -> str:
-    with open(path) as fh:
-        payload = json.load(fh)
-    arrays = {
-        name: np.array(entry["data"]).reshape(entry["shape"])
-        for name, entry in payload["arrays"].items()
-    }
-    model.load_state(arrays)
-    return payload.get("config_hash", "")
+    """Load a :func:`save_checkpoint` file into ``model`` and return its
+    config hash.  A file that is not JSON, has a malformed entry (the old
+    decimal-list format included) or does not match the model's names and
+    shapes raises ModelError and changes nothing; an unreadable file raises
+    OSError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ModelError(f"not JSON: {exc}") from exc
+    if not isinstance(payload, dict) \
+            or not isinstance(payload.get("config_hash"), str) \
+            or not isinstance(payload.get("arrays"), dict):
+        raise ModelError('not a {"config_hash": str, "arrays": {...}} '
+                         'checkpoint')
+    model.load_state({name: _decode_entry(name, entry)
+                      for name, entry in payload["arrays"].items()})
+    return payload["config_hash"]

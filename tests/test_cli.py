@@ -1,3 +1,4 @@
+import base64
 import json
 import platform
 import statistics
@@ -38,6 +39,19 @@ RETIRED = {"encoder_activation": "tanh", "head_hidden": [],
            "rho_spur_split": "valid"}
 
 
+def entry(shape, raw, suffix=""):
+    """A checkpoint entry holding ``raw`` bytes, ``suffix`` appended."""
+    return {"shape": shape,
+            "float64_le": base64.b64encode(raw).decode() + suffix}
+
+
+def one_array_checkpoint(value, config_hash="x"):
+    """A checkpoint's text with ``value`` as its only entry's value, or as
+    its ``arrays`` when ``value`` is None."""
+    arrays = None if value is None else {"module0.layer0.weight": value}
+    return json.dumps({"config_hash": config_hash, "arrays": arrays})
+
+
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "config.json"
@@ -59,10 +73,19 @@ class TestUsageErrors:
         assert main(["calibrate"]) == 2
 
     def test_invalid_json(self, tmp_path, capsys):
+        # not JSON, a directory, and a file that is not UTF-8
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
-        assert main(["train", "--config", str(bad),
-                     "--out", str(tmp_path / "o")]) == 2
+        folder = tmp_path / "folder.json"
+        folder.mkdir()
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff{}")
+        for path in (bad, folder, binary):
+            out = tmp_path / "o"
+            assert main(["train", "--config", str(path),
+                         "--out", str(out)]) == 2, path
+            assert str(path) in capsys.readouterr().err
+            assert not (out / "diagnostic.json").exists()
 
     def test_bad_config_keys(self, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -387,7 +410,11 @@ class TestAnalyzeCommand:
                      "--out", str(run_out)]) == 0
         path = run_out / "checkpoint.json"
         payload = json.loads(path.read_text())
-        payload["arrays"]["module0.layer0.weight"]["data"][0] = float("nan")
+        entry = payload["arrays"]["module0.layer0.weight"]
+        weight = np.frombuffer(base64.b64decode(entry["float64_le"]),
+                               "<f8").copy()
+        weight[0] = float("nan")
+        entry["float64_le"] = base64.b64encode(weight.tobytes()).decode()
         path.write_text(json.dumps(payload))
         out = tmp_path / "analysis"
         assert main(["analyze", "--config", config_file,
@@ -403,19 +430,38 @@ class TestAnalyzeCommand:
                      "--checkpoint", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("text", [
-        "not json",
-        json.dumps({"config_hash": "x"}),
-        json.dumps({"arrays": {}}),
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("not json", "", id="not json"),
+        pytest.param(json.dumps({"config_hash": "x"}), "",
+                     id='{"config_hash": "x"}'),
+        pytest.param(json.dumps({"arrays": {}}), "", id='{"arrays": {}}'),
+        pytest.param(None, "", id="directory"),
+        pytest.param(one_array_checkpoint(None), "", id="null-arrays"),
+        pytest.param(one_array_checkpoint({"shape": [2], "data": [0.5, 1.0]}),
+                     "old decimal-list", id="decimal-list"),
+        pytest.param(one_array_checkpoint(entry([2], b"\0" * 8)), "bytes",
+                     id="byte-count"),
+        pytest.param(one_array_checkpoint(entry([1], b"\0" * 8, "*")),
+                     "base64", id="non-alphabet"),
+        pytest.param(one_array_checkpoint(entry([-1], b"")), "shape",
+                     id="negative-shape"),
+        pytest.param(one_array_checkpoint(entry([1.0], b"\0" * 8)), "shape",
+                     id="float-shape"),
+        pytest.param(one_array_checkpoint(entry([1], b"\0" * 8), 7),
+                     "config_hash", id="int-config-hash"),
     ])
-    def test_bad_checkpoint_exits_two(self, text, config_file, tmp_path,
-                                      capsys):
+    def test_bad_checkpoint_exits_two(self, text, message, config_file,
+                                      tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text(text)
+        if text is None:
+            path.mkdir()
+        else:
+            path.write_text(text)
         out = tmp_path / "o"
         assert main(["analyze", "--config", config_file,
                      "--checkpoint", str(path), "--out", str(out)]) == 2
-        assert str(path) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
         assert not (out / "diagnostic.json").exists()
 
     def test_checkpoint_from_other_config_rejected(self, config_file, tmp_path,

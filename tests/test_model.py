@@ -1,3 +1,4 @@
+import base64
 import json
 from pathlib import Path
 
@@ -262,13 +263,24 @@ class TestPredict:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         model = make_model(seed=9)
+        # bit patterns a decimal writer loses: a NaN with a payload, -0.0,
+        # +-inf, the smallest subnormal, and 1.0 between its two one-ulp
+        # neighbours
+        bits = np.array([0x7FF8_0000_0000_0123, 0x8000_0000_0000_0000,
+                         0x7FF0_0000_0000_0000, 0xFFF0_0000_0000_0000, 1,
+                         0x3FF0_0000_0000_0000, 0x3FEF_FFFF_FFFF_FFFF,
+                         0x3FF0_0000_0000_0001], dtype=np.uint64)
+        set_arrays(model, {"routing.theta": bits.view(np.float64).reshape(2, 4)})
+        np.testing.assert_array_equal(
+            model.routing.theta.value.view(np.uint64).ravel(), bits)
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, model, "abc123")
         clone = make_model(seed=10)
         clone.state_dict()["head0.layer0.weight"][...] += 1.0
         assert load_checkpoint(path, clone) == "abc123"
         for p, q in zip(model.parameters(), clone.parameters()):
-            np.testing.assert_array_equal(p.value, q.value)
+            np.testing.assert_array_equal(p.value.view(np.uint64),
+                                          q.value.view(np.uint64))
 
     def test_missing_parameter_rejected(self, tmp_path):
         model = make_model()
@@ -292,8 +304,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize("k, input_dim", [(1, 6), (4, 1639)])
     def test_file_is_json_dumps_of_the_whole_payload(self, tmp_path, k,
                                                       input_dim):
-        # 1639 x 5 first-layer weights per module span three 4096-value
-        # chunks
+        # each module's 1639 x 5 first-layer weights are a strided view
+        # into the fused layer
         model = make_model(k=k, input_dim=input_dim, total_dim=8, seed=13,
                            head_out=3, kind="xent")
         set_arrays(model, {"routing.theta": np.array([[np.nan] * k,
@@ -303,7 +315,8 @@ class TestCheckpoint:
         payload = {
             "config_hash": "h\u00e9",
             "arrays": {name: {"shape": list(val.shape),
-                              "data": val.ravel().tolist()}
+                              "float64_le": base64.b64encode(
+                                  val.astype("<f8").tobytes()).decode()}
                        for name, val in model.state_dict().items()},
         }
         assert path.read_bytes() == json.dumps(payload).encode()
@@ -313,8 +326,10 @@ class TestCheckpoint:
         ("checkpoint_k1.json", 1, ()),
     ])
     def test_committed_v1_checkpoint(self, tmp_path, name, k, hidden):
-        # written by the per-module implementation from seed 0: the bank
-        # draws the same weights and saves them under the same names
+        # written by the per-module implementation from seed 0 as decimal
+        # lists, then re-encoded as base64 float64 with the same names and
+        # bits: the bank draws the same weights and saves them under the
+        # same names
         fresh = make_model(k=k, total_dim=8, hidden=hidden, seed=0)
         path = tmp_path / "fresh.json"
         save_checkpoint(path, fresh, "v1")
