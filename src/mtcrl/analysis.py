@@ -29,25 +29,26 @@ class UndefinedScoreError(AnalysisError):
 @np.errstate(all="ignore")  # the output is checked
 def factor_gradient(model: MtlModel, batch) -> np.ndarray:
     """Per task, the summed absolute input-gradients of its score over a
-    batch, T x D, from one forward pass and one gradient per task.
+    batch, T x D, each from a forward pass of its own: a first-order
+    gradient consumes the record it walks.
 
     For classification a task's score is the pre-softmax score of its true
     class; for scalar outputs it is the output itself.
     """
-    tape = T.Tape()
-    binding = TapeBinding(tape)
-    x = tape.leaf(batch.inputs)
-    out = model.predict(binding, model.encode(binding, x))
-    shape = (out.shape[0], model.tasks, out.shape[1] // model.tasks)
-    if model.loss_kind == "xent":
-        labels = task_labels(batch, model.tasks)[:, :, None]
-        picks = (np.arange(shape[2]) == labels).astype(np.float64)
-    else:
-        picks = np.ones(shape)
-    scores = T.sum_(T.multiply(T.reshape(out, shape), T.Tensor(picks)),
-                    axis=(0, 2))
     saliency = []
     for t in range(model.tasks):
+        tape = T.Tape()
+        binding = TapeBinding(tape)
+        x = tape.leaf(batch.inputs)
+        out = model.predict(binding, model.encode(binding, x))
+        shape = (out.shape[0], model.tasks, out.shape[1] // model.tasks)
+        if model.loss_kind == "xent":
+            labels = task_labels(batch, model.tasks)[:, :, None]
+            picks = (np.arange(shape[2]) == labels).astype(np.float64)
+        else:
+            picks = np.ones(shape)
+        scores = T.sum_(T.multiply(T.reshape(out, shape), T.Tensor(picks)),
+                        axis=(0, 2))
         g, = T.grad(T.narrow(scores, 0, t, 1), [x])
         T.check_finite(g, f"the input gradient of task {t}")
         saliency.append(np.abs(g.data).sum(axis=0))

@@ -112,7 +112,12 @@ def _train_config(payload, seed=None) -> harness.TrainConfig:
 
 def _driver_base(payload, seed=None) -> harness.TrainConfig:
     """The ``base`` train config of a driver config.  Every driver runs a
-    K-module mode, so the base is also checked as one."""
+    K-module mode, so the base is also checked as one, and fans its runs
+    out over MTCRL_WORKERS, so that variable is checked too."""
+    try:
+        harness.env_workers()
+    except harness.HarnessError as exc:
+        raise UsageError(str(exc)) from exc
     base = _train_config(payload.get("base", {}), seed)
     _parse(lambda b: replace(b, mode="mtl-vanilla"), base)
     return base

@@ -126,35 +126,87 @@ def config_hash(cfg: TrainConfig) -> str:
 # optimizers
 
 
+# elements per piece of an in-place update: a larger parameter is updated
+# piece by piece, through scratch rows of this length
+CHUNK = 8192
+
+
+def _pieces(scratch, *arrays):
+    """Matching 1-d pieces of ``arrays`` (one shape, C-contiguous), at most
+    CHUNK elements each, with the ``scratch`` rows cut to their length."""
+    flat = [a.reshape(-1) for a in arrays]
+    n = flat[0].size
+    return [(*(f[lo:lo + CHUNK] for f in flat),
+             *scratch[:, :min(CHUNK, n - lo)]) for lo in range(0, n, CHUNK)]
+
+
 class Sgd:
+    """``p = p - lr * g``, written into ``p.value`` in place through a
+    fixed scratch, so views of a parameter (``state_dict``'s among them)
+    see every update."""
+
     def __init__(self, lr: float):
         self.lr = lr
+        self._scratch = np.empty((1, CHUNK))
 
     def step(self, pairs):
         for p, g in pairs:
-            p.value = p.value - self.lr * g
+            for p_, g_, step in _pieces(self._scratch, p.value, g):
+                np.multiply(g_, self.lr, step)
+                p_ -= step
 
 
 class Adam:
+    """Adam with bias correction.  Each parameter's moments ``(m, v)`` are
+    built on its first step and kept in ``state``.  The moments and
+    ``p.value`` are written in place, op for op in the order of the
+    out-of-place formula, so the values are the same bit for bit.  A
+    parameter of at most :data:`CHUNK` elements is updated whole, through
+    temporaries of its size, which costs fewer ufunc calls; a larger one
+    piece by piece, through a fixed scratch.  So a step allocates nothing
+    whose size grows with a parameter."""
+
     b1, b2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, lr: float):
         self.lr = lr
         self.t = 0
         self.state = {}
+        self._scratch = np.empty((2, CHUNK))
 
     def step(self, pairs):
         self.t += 1
+        b1, b2, lr, eps = self.b1, self.b2, self.lr, self.eps
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         for p, g in pairs:
-            # zero moments are built on a parameter's first step only
-            m, v = self.state.get(id(p)) or (np.zeros_like(p.value),
-                                             np.zeros_like(p.value))
-            m = self.b1 * m + (1 - self.b1) * g
-            v = self.b2 * v + (1 - self.b2) * g * g
-            self.state[id(p)] = (m, v)
-            m_hat = m / (1 - self.b1 ** self.t)
-            v_hat = v / (1 - self.b2 ** self.t)
-            p.value = p.value - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if id(p) not in self.state:
+                self.state[id(p)] = (np.zeros_like(p.value),
+                                     np.zeros_like(p.value))
+            m, v = self.state[id(p)]
+            if p.value.size <= CHUNK:
+                np.add(b1 * m, (1 - b1) * g, out=m)
+                np.add(b2 * v, (1 - b2) * g * g, out=v)
+                np.subtract(p.value, lr * (m / c1) / (np.sqrt(v / c2) + eps),
+                            out=p.value)
+                continue
+            # the same ops in the same order, each written into a piece or
+            # a scratch row
+            for p_, g_, m_, v_, a, b in _pieces(self._scratch, p.value, g,
+                                                m, v):
+                m_ *= b1
+                np.multiply(g_, 1 - b1, a)
+                m_ += a
+                v_ *= b2
+                np.multiply(g_, 1 - b2, a)
+                a *= g_
+                v_ += a
+                np.divide(v_, c2, a)
+                np.sqrt(a, a)
+                a += eps
+                np.divide(m_, c1, b)
+                b *= lr
+                b /= a
+                p_ -= b
 
 
 def make_optimizer(cfg: TrainConfig):
@@ -475,10 +527,26 @@ def _report_dict(cfg: TrainConfig) -> dict:
     return train(cfg)[0].to_dict()
 
 
+def env_workers() -> int:
+    """The process count MTCRL_WORKERS asks for: 1 (sequential) when it is
+    unset or empty, else an integer of at least 1 (HarnessError if not)."""
+    text = os.environ.get("MTCRL_WORKERS", "")
+    if not text:
+        return 1
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise HarnessError("MTCRL_WORKERS must be unset, empty or an integer "
+                           f"of at least 1, got {text!r}")
+    return workers
+
+
 def run_configs(configs) -> list[dict]:
     """Train each config; fans out over MTCRL_WORKERS processes if set."""
     configs = list(configs)
-    workers = int(os.environ.get("MTCRL_WORKERS", "1"))
+    workers = env_workers()
     if workers > 1 and len(configs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_report_dict, configs))

@@ -27,13 +27,14 @@ class ModelError(Exception):
 
 
 class Parameter:
-    """Named trainable array, persistent across tape resets."""
+    """Named trainable array, persistent across tape resets.  ``value`` is
+    C-contiguous, and the optimizers write it in place."""
 
     __slots__ = ("name", "value")
 
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
-        self.value = np.asarray(value, dtype=np.float64)
+        self.value = np.require(value, np.float64, "C")
 
     def __repr__(self):
         return f"Parameter({self.name}, shape={self.value.shape})"

@@ -13,7 +13,10 @@ Conventions:
   * tensors with ``node is None`` are constants - gradients never flow
     into them;
   * one tape per training step, reset between steps;
-  * nothing writes tensor data in place, so ``transpose`` returns a view.
+  * no op writes tensor data in place, so ``transpose`` returns a view.
+    A leaf shares its array with the parameter it was made from, and the
+    optimizer writes parameter arrays in place after the step's backward
+    pass, so a step's leaves hold the updated values once it is done.
 
 A tape holds its nodes, but a node refers to its tape weakly, and no
 backward rule closes over its own output: :func:`grad` hands the output
@@ -37,6 +40,16 @@ rule may return ``None`` for the others, so a constant operand (a data
 matrix, a detached head) costs no adjoint product and records no nodes.
 It frees each adjoint once its node's rule has used it, so a backward
 pass holds only the adjoints still waiting to be used.
+
+A first-order :func:`grad` (``create_graph=False``) also consumes the
+record it walks: once a node's rule has run, the node drops the rule and
+its kept output, and keeps its parents.  So a training step's backward
+pass frees the forward record as it goes, and what is left for the
+optimizer is the gradients.  A later walk that reaches a consumed node
+raises :class:`StaleTapeError` naming it: take each first-order gradient
+of one graph from a forward pass of its own.  A ``create_graph=True``
+walk consumes nothing, so the inner gradients of a penalty leave the
+record whole for the outer backward.
 
 Ops do not check their outputs for finiteness.  Callers check with
 :func:`check_finite` where values leave a computation (a training step's
@@ -134,7 +147,9 @@ class Node:
     and for parents no requested gradient depends on; the rule may return
     ``None`` for those.  Parent node ids always precede ``nid`` because
     nodes are appended in execution order.  ``tape`` is the owning tape,
-    or ``None`` once it was dropped.
+    or ``None`` once it was dropped.  Once a first-order :func:`grad` has
+    run the rule, ``vjp`` is the ``_consumed`` sentinel and ``out`` is
+    ``None``.
     """
 
     __slots__ = ("nid", "op", "parents", "vjp", "out", "_tape", "generation")
@@ -607,6 +622,12 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
 # reverse pass
 
 
+def _consumed(out, g, needs):
+    """The rule of a node whose record a first-order :func:`grad` consumed;
+    :func:`grad` raises :class:`StaleTapeError` before calling it."""
+    raise StaleTapeError("this node's record was consumed")
+
+
 def _active_nodes(tape: Tape, output_nid: int, wrt_ids: set) -> tuple:
     """Nodes up to ``output_nid`` that are ``wrt`` tensors or have an active
     parent, as (nodes in tape order, set of their ids)."""
@@ -633,7 +654,10 @@ def grad(output: Tensor, wrt, create_graph: bool = False,
     is dropped once its rule has run, unless the node is requested.
 
     With ``create_graph=True`` the returned gradients are themselves on the
-    tape, so a second call differentiates through them.  Tensors listed in
+    tape, so a second call differentiates through them.  Without it, each
+    visited node's rule and kept output are dropped once the rule has run,
+    and a later call that reaches such a node raises
+    :class:`StaleTapeError` naming its id and op.  Tensors listed in
     ``detached``, and tensors the output does not depend on, get zero
     tensors of matching shape; gradients still flow through detached
     tensors to other requested tensors.
@@ -665,14 +689,21 @@ def grad(output: Tensor, wrt, create_graph: bool = False,
                  else grads.pop(node.nid, None))
             if g is None or node.vjp is None:
                 continue
+            if node.vjp is _consumed:
+                raise StaleTapeError(
+                    f"node {node.nid} ('{node.op}') was consumed by an "
+                    "earlier first-order grad; record the graph again")
             needs = tuple(p.node is not None and p.node.nid in active
                           for p in node.parents)
             if not any(needs):
                 continue
             try:
                 out = None if node.out is None else Tensor(node.out, node)
-                for parent, need, pg in zip(node.parents, needs,
-                                            node.vjp(out, g, needs)):
+                vjps = node.vjp(out, g, needs)
+                if not create_graph:
+                    # a first-order walk consumes the record it has read
+                    node.vjp, node.out = _consumed, None
+                for parent, need, pg in zip(node.parents, needs, vjps):
                     if not need:
                         continue
                     pid = parent.node.nid

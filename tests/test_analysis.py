@@ -95,6 +95,32 @@ class TestFactorGradient:
         np.testing.assert_allclose(grad, numeric, rtol=1e-4, atol=1e-8)
 
 
+    @pytest.mark.parametrize("kind, head_out", [("mse", 1), ("xent", 3)])
+    def test_matches_one_forward_pass_reference(self, kind, head_out):
+        # reference: every task's gradient from one forward pass, which
+        # create_graph=True walks leave intact
+        model = make_model(tasks=3, k=3, total_dim=6, seed=6, kind=kind,
+                           head_out=head_out)
+        batch = make_batch(tasks=3, seed=6, int_labels=kind == "xent")
+        tape = T.Tape()
+        binding = TapeBinding(tape)
+        x = tape.leaf(batch.inputs)
+        out = T.reshape(model.predict(binding, model.encode(binding, x)),
+                        (len(batch.inputs), 3, head_out))
+        if kind == "xent":
+            labels = np.stack([batch.labels[t] for t in range(3)], axis=1)
+            picks = (np.arange(head_out) == labels[:, :, None]) * 1.0
+        else:
+            picks = np.ones(out.shape)
+        scores = T.sum_(T.multiply(out, T.Tensor(picks)), axis=(0, 2))
+        ref = [np.abs(T.grad(T.narrow(scores, 0, t, 1), [x],
+                             create_graph=True)[0].data).sum(axis=0)
+               for t in range(3)]
+        np.testing.assert_array_equal(
+            factor_gradient(model, batch).view(np.uint64),
+            np.array(ref).view(np.uint64))
+
+
 class TestSpuriousScore:
     def test_all_mass_causal_gives_zero(self):
         mask = np.array([True, True, False])

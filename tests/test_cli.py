@@ -87,6 +87,26 @@ class TestUsageErrors:
             assert str(path) in capsys.readouterr().err
             assert not (out / "diagnostic.json").exists()
 
+    @pytest.mark.parametrize("workers", ["abc", "0", "-2", "1.5"])
+    def test_bad_worker_count(self, workers, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MTCRL_WORKERS", workers)
+        trained = []
+        monkeypatch.setattr(harness, "_report_dict", trained.append)
+        out = tmp_path / "o"
+        assert main(["table2", "--config", str(CONFIGS / "table2.json"),
+                     "--out", str(out)]) == 2
+        assert "MTCRL_WORKERS" in capsys.readouterr().err
+        assert trained == [] and not (out / "diagnostic.json").exists()
+
+    @pytest.mark.parametrize("workers, count", [(None, 1), ("", 1), ("1", 1),
+                                                ("3", 3)])
+    def test_worker_count(self, workers, count, monkeypatch):
+        if workers is None:
+            monkeypatch.delenv("MTCRL_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("MTCRL_WORKERS", workers)
+        assert harness.env_workers() == count
+
     def test_bad_config_keys(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"modee": "stl"}))

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -19,7 +20,7 @@ from mtcrl.harness import (ABLATION_VARIANTS, Adam, HarnessError, Sgd,
                            config_hash, config_to_dict, evaluate, run_ablation,
                            run_table2, run_task_sweep, spearman, step_gradients,
                            train, train_step)
-from mtcrl.model import ModuleBank, MtlModel, TapeBinding
+from mtcrl.model import ModuleBank, MtlModel, Parameter, TapeBinding
 from mtcrl.regularizers import (PenaltyWeights, decorrelation_loss,
                                 env_task_risk, girm_penalty, graph_reg_loss)
 
@@ -103,6 +104,71 @@ class TestOptimizers:
         np.testing.assert_allclose(p.value, -0.01, rtol=1e-6)
 
 
+    @np.errstate(over="ignore")  # the huge gradient overflows g * g
+    def test_adam_matches_the_out_of_place_formula_bit_for_bit(self):
+        # one parameter updated in pieces (3 chunks and one element), one
+        # whole; the gradients hold zeros of both signs, a subnormal and a
+        # huge value
+        rng = np.random.default_rng(3)
+        specials = [0.0, -0.0, 5e-324, 1e300]
+        params, grads = [], []
+        for size in (3 * harness.CHUNK + 1, 6):
+            params.append(Parameter(f"p{size}", rng.normal(size=(size, 1))))
+            steps = []
+            for _ in range(4):
+                g = rng.normal(size=(size, 1))
+                g[rng.choice(size, 4, replace=False), 0] = specials
+                steps.append(g)
+            grads.append(steps)
+        refs = [(p.value.copy(), np.zeros_like(p.value),
+                 np.zeros_like(p.value)) for p in params]
+        opt = Adam(0.01)
+        for t in range(1, 5):
+            opt.step([(p, g[t - 1]) for p, g in zip(params, grads)])
+            for i, g in enumerate(grads):
+                value, m, v = refs[i]
+                m = Adam.b1 * m + (1 - Adam.b1) * g[t - 1]
+                v = Adam.b2 * v + (1 - Adam.b2) * g[t - 1] * g[t - 1]
+                m_hat = m / (1 - Adam.b1 ** t)
+                v_hat = v / (1 - Adam.b2 ** t)
+                value = value - 0.01 * m_hat / (np.sqrt(v_hat) + Adam.eps)
+                refs[i] = value, m, v
+            for p, (value, m, v) in zip(params, refs):
+                for got, want in zip((p.value, *opt.state[id(p)]),
+                                     (value, m, v)):
+                    np.testing.assert_array_equal(got.view(np.uint64),
+                                                  want.view(np.uint64))
+
+    @pytest.mark.parametrize("make_opt", [partial(Sgd, 0.1),
+                                          partial(Adam, 0.1)])
+    def test_update_is_in_place(self, make_opt):
+        model = tiny_model()
+        params = model.parameters()
+        arrays = [p.value for p in params]
+        views = model.state_dict()
+        before = {name: view.copy() for name, view in views.items()}
+        opt = make_opt()
+        for _ in range(2):
+            opt.step([(p, np.ones_like(p.value)) for p in params])
+        assert all(p.value is a for p, a in zip(params, arrays))
+        for name, view in model.state_dict().items():
+            np.testing.assert_array_equal(views[name], view)
+            assert not np.array_equal(views[name], before[name]), name
+
+    def test_adam_step_allocates_no_parameter_sized_arrays(self):
+        p = Parameter("w", np.random.default_rng(0).normal(size=(1568, 128)))
+        g = np.random.default_rng(1).normal(size=p.value.shape)
+        opt = Adam(1e-3)
+        opt.step([(p, g)])  # builds the moments
+        tracemalloc.start()
+        try:
+            opt.step([(p, g)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25e6
+
+
 class TestTrainStep:
     def test_convex_toy_risk_decreases(self):
         model = tiny_model(seed=1)
@@ -132,29 +198,38 @@ class TestTrainStep:
     @pytest.mark.parametrize("k, variant", [(2, "var"), (8, "var"),
                                             (2, "norm"), (2, "irm-baseline")])
     def test_one_backward_matches_two_pass_reference(self, k, variant):
-        # reference: grad(loss) + lambda * grad(penalty), two passes over
-        # one tape; step_gradients takes one pass over their weighted sum
+        # reference: grad(loss) + lambda * grad(penalty), each from a graph
+        # of its own, since a first-order grad consumes the record it
+        # walks; step_gradients takes one pass over their weighted sum
         model = MtlModel(tasks=2, k=k, input_dim=4, total_dim=16,
                          encoder_hidden=(5,), head_out=1,
                          loss_kind="mse",
                          rng=np.random.default_rng(7))
         train_b, valid_b = tiny_batches(seed=7)
         weights = PenaltyWeights(1.0, 0.1, 0.5, 3.0, variant)
-        binding = TapeBinding(T.Tape())
-        z = model.encode(binding, train_b.inputs)
-        a = model.routing.weights(binding)
-        risks = env_task_risk(model, binding, train_b, z=z, a=a)
-        loss = T.add(T.add(T.sum_(risks),
-                           decorrelation_loss(z, k, weights.lambda_decor)),
-                     graph_reg_loss(a, weights.lambda_sps, weights.lambda_bal))
-        penalty, _ = girm_penalty(model, binding, [train_b, valid_b],
-                                  variant, encoded=[(train_b, z)])
-        leaves = binding.leaves_for(model.parameters())
-        main, pen = T.grad(loss, leaves), T.grad(penalty, leaves)
+
+        def reference(part):
+            """grad of the loss (part 0) or the penalty (part 1) on a
+            fresh tape, and the differentiated value."""
+            binding = TapeBinding(T.Tape())
+            z = model.encode(binding, train_b.inputs)
+            a = model.routing.weights(binding)
+            risks = env_task_risk(model, binding, train_b, z=z, a=a)
+            loss = T.add(T.add(T.sum_(risks),
+                               decorrelation_loss(z, k, weights.lambda_decor)),
+                         graph_reg_loss(a, weights.lambda_sps,
+                                        weights.lambda_bal))
+            penalty, _ = girm_penalty(model, binding, [train_b, valid_b],
+                                      variant, encoded=[(train_b, z)])
+            out = (loss, penalty)[part]
+            return T.grad(out, binding.leaves_for(model.parameters())), \
+                out.item()
+
+        (main, loss), (pen, penalty) = reference(0), reference(1)
 
         grads, parts = step_gradients(model, train_b, [train_b, valid_b],
                                       weights)
-        assert (parts["loss"], parts["girm"]) == (loss.item(), penalty.item())
+        assert (parts["loss"], parts["girm"]) == (loss, penalty)
         for p, g_main, g_pen in zip(model.parameters(), main, pen):
             ref = g_main.data + weights.lambda_girm * g_pen.data
             err = np.linalg.norm(grads[p.name] - ref)

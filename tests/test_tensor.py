@@ -133,6 +133,44 @@ class TestFirstOrderGradients:
         assert gx.item() == pytest.approx(3.0)
 
 
+class TestConsumedRecord:
+    def test_second_first_order_walk_names_the_consumed_node(self):
+        tape, (x,) = scalar_tape(2.0)
+        out = T.square(x)
+        gx, = T.grad(out, [x])
+        assert gx.item() == 4.0
+        with pytest.raises(T.StaleTapeError,
+                           match=rf"node {out.node.nid} \('square'\)"):
+            T.grad(out, [x])
+
+    def test_walk_drops_rules_and_kept_outputs_but_not_parents(self):
+        gc.disable()
+        try:
+            tape, (x,) = scalar_tape(np.ones((3, 2)))
+            h = T.tanh(x)
+            kept = weakref.ref(h.data)
+            out = T.sum_(T.multiply(h, h))
+            del h
+            T.grad(out, [x])
+            assert kept() is None
+            nodes = tape.nodes[1:]
+            assert all(n.vjp is T._consumed and n.out is None for n in nodes)
+            assert [[p.node.nid for p in n.parents] for n in nodes] == \
+                [[0], [1, 1], [2]]
+        finally:
+            gc.enable()
+
+    def test_create_graph_walks_consume_nothing(self):
+        tape = T.Tape()
+        w = tape.leaf([1.0, 2.0])
+        f = T.sum_(T.square(w))
+        first, = T.grad(f, [w], create_graph=True)
+        again, = T.grad(f, [w], create_graph=True)
+        np.testing.assert_array_equal(first.data, again.data)
+        outer, = T.grad(T.add(T.l2_norm_sq(first), T.l2_norm_sq(again)), [w])
+        np.testing.assert_allclose(outer.data, [16.0, 32.0], atol=1e-12)
+
+
 class TestSecondOrder:
     def test_grad_of_inner_gradient_norm(self):
         # f(w) = w.w, inner grad 2w, penalty ||2w||^2 = 4 w.w, outer grad 8w
