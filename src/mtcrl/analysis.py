@@ -35,18 +35,18 @@ def factor_gradient(model: MtlModel, batch) -> np.ndarray:
     For classification a task's score is the pre-softmax score of its true
     class; for scalar outputs it is the output itself.
     """
+    shape = (batch.n_samples, model.tasks, model.heads.widths[-1])
+    if model.loss_kind == "xent":
+        labels = task_labels(batch, model.tasks)[:, :, None]
+        picks = (np.arange(shape[2]) == labels).astype(np.float64)
+    else:
+        picks = np.ones(shape)
     saliency = []
     for t in range(model.tasks):
         tape = T.Tape()
         binding = TapeBinding(tape)
         x = tape.leaf(batch.inputs)
         out = model.predict(binding, model.encode(binding, x))
-        shape = (out.shape[0], model.tasks, out.shape[1] // model.tasks)
-        if model.loss_kind == "xent":
-            labels = task_labels(batch, model.tasks)[:, :, None]
-            picks = (np.arange(shape[2]) == labels).astype(np.float64)
-        else:
-            picks = np.ones(shape)
         scores = T.sum_(T.multiply(T.reshape(out, shape), T.Tensor(picks)),
                         axis=(0, 2))
         g, = T.grad(T.narrow(scores, 0, t, 1), [x])

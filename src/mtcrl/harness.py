@@ -132,28 +132,27 @@ CHUNK = 8192
 
 
 def _pieces(scratch, *arrays):
-    """Matching 1-d pieces of ``arrays`` (one shape, C-contiguous), at most
-    CHUNK elements each, with the ``scratch`` rows cut to their length."""
-    flat = [a.reshape(-1) for a in arrays]
+    """Matching 1-d pieces of ``arrays`` (one shape), at most CHUNK
+    elements each, with the ``scratch`` rows cut to their length.  The
+    first array is read; the others are written, so they must flatten
+    without a copy (a non-contiguous one raises)."""
+    flat = [arrays[0].reshape(-1),
+            *(np.reshape(a, -1, copy=False) for a in arrays[1:])]
     n = flat[0].size
     return [(*(f[lo:lo + CHUNK] for f in flat),
              *scratch[:, :min(CHUNK, n - lo)]) for lo in range(0, n, CHUNK)]
 
 
 class Sgd:
-    """``p = p - lr * g``, written into ``p.value`` in place through a
-    fixed scratch, so views of a parameter (``state_dict``'s among them)
-    see every update."""
+    """``p = p - lr * g``, written into ``p.value`` in place, so views of a
+    parameter (``state_dict``'s among them) see every update."""
 
     def __init__(self, lr: float):
         self.lr = lr
-        self._scratch = np.empty((1, CHUNK))
 
     def step(self, pairs):
         for p, g in pairs:
-            for p_, g_, step in _pieces(self._scratch, p.value, g):
-                np.multiply(g_, self.lr, step)
-                p_ -= step
+            p.value -= self.lr * g
 
 
 class Adam:
@@ -191,7 +190,7 @@ class Adam:
                 continue
             # the same ops in the same order, each written into a piece or
             # a scratch row
-            for p_, g_, m_, v_, a, b in _pieces(self._scratch, p.value, g,
+            for g_, p_, m_, v_, a, b in _pieces(self._scratch, g, p.value,
                                                 m, v):
                 m_ *= b1
                 np.multiply(g_, 1 - b1, a)

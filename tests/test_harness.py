@@ -155,6 +155,15 @@ class TestOptimizers:
             np.testing.assert_array_equal(views[name], view)
             assert not np.array_equal(views[name], before[name]), name
 
+    def test_adam_refuses_a_large_value_it_cannot_write_in_place(self):
+        # a value rebound to a transposed array flattens only through a
+        # copy, which the update would write instead of the parameter
+        rng = np.random.default_rng(4)
+        p = Parameter("w", np.zeros((harness.CHUNK, 2)))
+        p.value = rng.normal(size=(2, harness.CHUNK)).T
+        with pytest.raises(ValueError):
+            Adam(0.1).step([(p, np.ones_like(p.value))])
+
     def test_adam_step_allocates_no_parameter_sized_arrays(self):
         p = Parameter("w", np.random.default_rng(0).normal(size=(1568, 128)))
         g = np.random.default_rng(1).normal(size=p.value.shape)
