@@ -43,13 +43,14 @@ def factor_gradient(model: MtlModel, batch) -> np.ndarray:
         picks = np.ones(shape)
     saliency = []
     for t in range(model.tasks):
+        pick_t = np.zeros(shape)
+        pick_t[:, t] = picks[:, t]
         tape = T.Tape()
         binding = TapeBinding(tape)
         x = tape.leaf(batch.inputs)
         out = model.predict(binding, model.encode(binding, x))
-        scores = T.sum_(T.multiply(T.reshape(out, shape), T.Tensor(picks)),
-                        axis=(0, 2))
-        g, = T.grad(T.narrow(scores, 0, t, 1), [x])
+        score = T.sum_(T.multiply(T.reshape(out, shape), T.Tensor(pick_t)))
+        g, = T.grad(score, [x])
         T.check_finite(g, f"the input gradient of task {t}")
         saliency.append(np.abs(g.data).sum(axis=0))
     return np.array(saliency)

@@ -252,7 +252,7 @@ def step_gradients(model: MtlModel, train_batch, env_batches,
     parts["loss"] = float(loss.data)
 
     objective = loss
-    if weights.girm_variant != "none" and weights.lambda_girm > 0:
+    if weights.lambda_girm > 0:
         penalty, env_risks = girm_penalty(model, binding, env_batches,
                                           weights.girm_variant,
                                           encoded=[(train_batch, z)])
@@ -328,11 +328,8 @@ class RunReport:
     def to_dict(self) -> dict:
         return dict(self.__dict__)
 
-    def json(self, include_wall_clock: bool = True) -> str:
-        payload = self.to_dict()
-        if not include_wall_clock:
-            payload.pop("wall_clock_s")
-        return json.dumps(payload, sort_keys=True, indent=1)
+    def json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
 
 
 def _dataset_bundle(cfg: TrainConfig):
@@ -369,7 +366,7 @@ def effective_weights(cfg: TrainConfig) -> PenaltyWeights:
     """Regularizers apply only in mtcrl mode; other modes run bare risk."""
     if cfg.mode == "mtcrl":
         return cfg.weights
-    return PenaltyWeights(0.0, 0.0, 0.0, 0.0, "none")
+    return PenaltyWeights(0.0, 0.0, 0.0, 0.0)
 
 
 def _checked(epoch: int | None, step: int | None, run, replay=None):
@@ -641,13 +638,13 @@ def run_task_sweep(task_counts, base: TrainConfig) -> dict:
 
 ABLATION_VARIANTS = {
     "vanilla": {"lambda_decor": 0.0, "lambda_sps": 0.0, "lambda_bal": 0.0,
-                "lambda_girm": 0.0, "girm_variant": "none"},
+                "lambda_girm": 0.0},
     "full": {},
     "no-decor": {"lambda_decor": 0.0},
     "no-sps": {"lambda_sps": 0.0},
     "no-bal": {"lambda_bal": 0.0},
     "no-graph-reg": {"lambda_sps": 0.0, "lambda_bal": 0.0},
-    "no-girm": {"girm_variant": "none"},
+    "no-girm": {"lambda_girm": 0.0},
 }
 
 

@@ -5,9 +5,11 @@ All terms are built from tape ops, so they stay differentiable.  Every
 invariance penalty is built from one quantity: per environment e, the
 T x K gradient dA_e of its task risks w.r.t. its own routing matrix A_e,
 taken with ``create_graph=True`` so the training step can differentiate
-through it.  ``norm`` sums its squared norms, ``var`` is its variance over
-environments (as in Fishr, arXiv:2109.02934), and ``irm-baseline`` is
-``norm`` with the head gradients included (IRM, arXiv:1907.02893).
+through it.  ``var`` is the variance of dA_e over environments (as in
+Fishr, arXiv:2109.02934).  ``irm-baseline`` is the sum over environments
+of the squared norms of dA_e and of the head-parameter gradients, with the
+heads not detached (IRM, arXiv:1907.02893).  A penalty is off exactly when
+its weight is 0.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from . import tensor as T
 from .model import MtlModel, TapeBinding
 
 VARIANCE_FLOOR = 1e-8
-GIRM_VARIANTS = ("none", "norm", "var", "irm-baseline")
+GIRM_VARIANTS = ("var", "irm-baseline")
 
 
 class RegularizerError(Exception):
@@ -49,43 +51,27 @@ class PenaltyWeights:
                                        f"nonnegative, got {value}")
         if self.girm_variant not in GIRM_VARIANTS:
             raise RegularizerError(
-                f"girm_variant must be one of {GIRM_VARIANTS}, "
-                f"got '{self.girm_variant}'"
+                f"girm_variant must be one of {GIRM_VARIANTS}, got "
+                f"'{self.girm_variant}'; set lambda_girm to 0 to turn the "
+                f"penalty off"
             )
 
 
-def _centered(z: T.Tensor):
-    """Column-centered ``z`` and the floored inverse column norms (1 x d)."""
-    zc = T.subtract(z, T.mean(z, axis=0, keepdims=True))
-    var = T.sum_(T.square(zc), axis=0, keepdims=True)
-    return zc, T.pow_const(T.add(var, VARIANCE_FLOOR), -0.5)
-
-
-def pearson_corr(zi: T.Tensor, zj: T.Tensor) -> T.Tensor:
-    """In-batch correlation matrix between all column pairs of zi and zj.
+def module_correlation(z: T.Tensor) -> T.Tensor:
+    """Correlation matrix over all columns of the module encodings ``z``
+    (B x d), from one centering and one variance vector (d x d).
 
     Covariances are centered sums (no 1/B factor; it cancels in the ratio).
     Column variances get ``VARIANCE_FLOOR`` added inside the square roots so
     constant columns yield 0 instead of dividing by zero.
     """
-    if zi.shape[0] < 2 or zi.shape[0] != zj.shape[0]:
-        raise RegularizerError(
-            f"pearson_corr needs >= 2 shared rows, got {zi.shape} vs {zj.shape}"
-        )
-    zci, inv_i = _centered(zi)
-    zcj, inv_j = _centered(zj)
-    cov = T.matmul(T.transpose(zci), zcj)
-    return T.multiply(T.multiply(cov, T.transpose(inv_i)), inv_j)
-
-
-def module_correlation(z: T.Tensor) -> T.Tensor:
-    """Correlation matrix over all columns of the module encodings ``z``
-    (B x d), from one centering and one variance vector (d x d)."""
     if z.shape[0] < 2:
         raise RegularizerError(
             f"module_correlation needs >= 2 rows, got {z.shape[0]}"
         )
-    zc, inv = _centered(z)
+    zc = T.subtract(z, T.mean(z, axis=0, keepdims=True))
+    var = T.sum_(T.square(zc), axis=0, keepdims=True)
+    inv = T.pow_const(T.add(var, VARIANCE_FLOOR), -0.5)
     cov = T.matmul(T.transpose(zc), zc)
     return T.multiply(T.multiply(cov, T.transpose(inv)), inv)
 
@@ -238,17 +224,14 @@ def irm_baseline_penalty(model: MtlModel, binding: TapeBinding,
 
 def girm_penalty(model: MtlModel, binding: TapeBinding, env_batches,
                  variant: str, encoded=()):
-    """``(penalty, risks)`` of an invariance-penalty variant, ``risks``
-    as ``{env_id: [risk per task]}``.
+    """``(penalty, risks)`` of a ``GIRM_VARIANTS`` entry, ``risks`` as
+    ``{env_id: [risk per task]}``.
 
     ``encoded`` passes ``(batch, z)`` pairs already encoded on this tape.
-    The graph-invariance variants detach the heads; the baseline variant
-    never detaches by definition.  Recording the risks adds no tape node.
+    ``var`` detaches the heads; ``irm-baseline`` never detaches by
+    definition.  Recording the risks adds no tape node.
     """
     if variant == "irm-baseline":
         return irm_baseline_penalty(model, binding, env_batches, encoded)
-    penalty = {"norm": girm_norm_penalty, "var": girm_var_penalty}.get(variant)
-    if penalty is None:
-        raise RegularizerError(f"unknown girm variant '{variant}'")
     grads, risks = environment_gradients(model, binding, env_batches, encoded)
-    return penalty(grads), risks
+    return girm_var_penalty(grads), risks

@@ -540,45 +540,6 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     return scale(total, total.size / a.size)
 
 
-def narrow(a, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice of ``length`` entries along ``axis``."""
-    a = _lift(a)
-    axis = axis % a.data.ndim
-    if start < 0 or start + length > a.shape[axis]:
-        raise ShapeMismatchError(
-            f"operation 'slice': [{start}:{start + length}) out of range for "
-            f"axis {axis} of shape {a.shape}"
-        )
-    key = tuple(
-        slice(start, start + length) if i == axis else slice(None)
-        for i in range(a.data.ndim)
-    )
-    in_shape = a.shape
-
-    def vjp(out, g, needs):
-        return (scatter_narrow(g, axis, start, in_shape),)
-
-    return _make("slice", a.data[key].copy(), (a,), vjp)
-
-
-def scatter_narrow(g, axis: int, start: int, target_shape) -> Tensor:
-    """Adjoint of :func:`narrow`: embed ``g`` into zeros of ``target_shape``."""
-    g = _lift(g)
-    axis = axis % len(target_shape)
-    data = np.zeros(target_shape)
-    length = g.shape[axis]
-    key = tuple(
-        slice(start, start + length) if i == axis else slice(None)
-        for i in range(len(target_shape))
-    )
-    data[key] = g.data
-
-    def vjp(out, up, needs):
-        return (narrow(up, axis, start, length),)
-
-    return _make("scatter", data, (g,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # composite ops (built from primitives; second order comes for free)
 

@@ -113,9 +113,11 @@ class TestFactorGradient:
         else:
             picks = np.ones(out.shape)
         scores = T.sum_(T.multiply(out, T.Tensor(picks)), axis=(0, 2))
-        ref = [np.abs(T.grad(T.narrow(scores, 0, t, 1), [x],
-                             create_graph=True)[0].data).sum(axis=0)
-               for t in range(3)]
+        ref = []
+        for t in range(3):  # task t's score, by a one-hot product
+            score = T.sum_(T.multiply(scores, T.Tensor(np.eye(3)[t])))
+            g, = T.grad(score, [x], create_graph=True)
+            ref.append(np.abs(g.data).sum(axis=0))
         np.testing.assert_array_equal(
             factor_gradient(model, batch).view(np.uint64),
             np.array(ref).view(np.uint64))

@@ -203,6 +203,23 @@ class TestUsageErrors:
         assert "unknown config keys" in err and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("variant", ["none", "norm"])
+    def test_retired_girm_variant_exits_two_and_is_named(self, variant,
+                                                         command, tmp_path,
+                                                         capsys):
+        # a zero lambda_girm is the one way to turn the penalty off
+        config = quick_config_dict(mode="mtcrl",
+                                   weights={"girm_variant": variant})
+        payload = config if command == "train" else {"base": config}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"'{variant}'" in err and "set lambda_girm to 0" in err
+        assert not (out / "diagnostic.json").exists()
+
     def test_unknown_ablation_variant(self, tmp_path, capsys):
         path = tmp_path / "a.json"
         path.write_text(json.dumps({"base": quick_config_dict(mode="mtcrl"),

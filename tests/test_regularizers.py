@@ -5,12 +5,13 @@ from mtcrl import tensor as T
 from mtcrl.data import EnvironmentBatch
 from mtcrl.harness import step_gradients
 from mtcrl.model import MtlModel, TapeBinding
-from mtcrl.regularizers import (EmptyBatchError, PenaltyWeights, RegularizerError,
+from mtcrl.regularizers import (VARIANCE_FLOOR, EmptyBatchError,
+                                PenaltyWeights, RegularizerError,
                                 decorrelation_loss,
                                 env_task_risk, environment_gradients,
                                 girm_norm_penalty, girm_penalty,
                                 girm_var_penalty, graph_reg_loss,
-                                irm_baseline_penalty, pearson_corr,
+                                irm_baseline_penalty, module_correlation,
                                 task_loss)
 
 
@@ -33,36 +34,58 @@ def make_batches(input_dim=4, tasks=2, n=12, seed=0):
     return out
 
 
+def pearson_corr(zi: T.Tensor, zj: T.Tensor) -> T.Tensor:
+    """Reference: in-batch correlations between the columns of zi and zj,
+    with ``module_correlation``'s variance floor."""
+    def centered(z):
+        zc = T.subtract(z, T.mean(z, axis=0, keepdims=True))
+        var = T.sum_(T.square(zc), axis=0, keepdims=True)
+        return zc, T.pow_const(T.add(var, VARIANCE_FLOOR), -0.5)
+
+    zci, inv_i = centered(zi)
+    zcj, inv_j = centered(zj)
+    cov = T.matmul(T.transpose(zci), zcj)
+    return T.multiply(T.multiply(cov, T.transpose(inv_i)), inv_j)
+
+
+def cross_block(zi, zj) -> np.ndarray:
+    """The block of ``module_correlation`` over the columns of ``zi`` side
+    by side with ``zj`` that pairs a column of zi with one of zj."""
+    rho = module_correlation(T.Tensor(np.hstack([zi, zj])))
+    return rho.data[:zi.shape[1], zi.shape[1]:]
+
+
 class TestPearson:
+    """``module_correlation``'s cross blocks are Pearson correlations."""
+
     def test_self_correlation_is_one(self):
-        z = T.Tensor(np.array([[1.0], [-1.0], [2.0]]))
-        rho = pearson_corr(z, z)
-        assert rho.data[0, 0] == pytest.approx(1.0, abs=1e-7)
+        z = np.array([[1.0], [-1.0], [2.0]])
+        assert cross_block(z, z)[0, 0] == pytest.approx(1.0, abs=1e-7)
 
     def test_anti_correlation(self):
-        zi = T.Tensor(np.array([[1.0], [-1.0]]))
-        zj = T.Tensor(np.array([[-1.0], [1.0]]))
-        assert pearson_corr(zi, zj).data[0, 0] == pytest.approx(-1.0, abs=1e-7)
+        zi = np.array([[1.0], [-1.0]])
+        zj = np.array([[-1.0], [1.0]])
+        assert cross_block(zi, zj)[0, 0] == pytest.approx(-1.0, abs=1e-7)
 
     def test_orthogonal_columns_give_zero(self):
-        zi = T.Tensor(np.array([[1.0], [-1.0], [1.0], [-1.0]]))
-        zj = T.Tensor(np.array([[1.0], [1.0], [-1.0], [-1.0]]))
-        assert pearson_corr(zi, zj).data[0, 0] == pytest.approx(0.0, abs=1e-12)
+        zi = np.array([[1.0], [-1.0], [1.0], [-1.0]])
+        zj = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+        assert cross_block(zi, zj)[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_entries_bounded(self):
         rng = np.random.default_rng(0)
-        rho = pearson_corr(T.Tensor(rng.normal(size=(20, 3))),
-                           T.Tensor(rng.normal(size=(20, 4))))
-        assert np.all(np.abs(rho.data) <= 1.0 + 1e-9)
+        rho = cross_block(rng.normal(size=(20, 3)), rng.normal(size=(20, 4)))
+        assert rho.shape == (3, 4)
+        assert np.all(np.abs(rho) <= 1.0 + 1e-9)
 
     def test_degenerate_column_floors_by_default(self):
-        z_const = T.Tensor(np.ones((4, 1)))
-        z = T.Tensor(np.arange(4.0)[:, None])
-        assert abs(pearson_corr(z_const, z).data[0, 0]) < 1e-3
+        z_const = np.ones((4, 1))
+        z = np.arange(4.0)[:, None]
+        assert abs(cross_block(z_const, z)[0, 0]) < 1e-3
 
     def test_needs_two_rows(self):
         with pytest.raises(RegularizerError):
-            pearson_corr(T.Tensor(np.ones((1, 2))), T.Tensor(np.ones((1, 2))))
+            cross_block(np.ones((1, 2)), np.ones((1, 2)))
 
 
 class TestDecorrelation:
@@ -101,7 +124,9 @@ class TestDecorrelation:
             return loss.item(), T.grad(loss, [z])[0].data
 
         def pairwise(z):
-            zs = [T.narrow(z, 1, 2 * i, 2) for i in range(k)]
+            # module i's two columns, by a constant selector product
+            zs = [T.matmul(z, T.Tensor(np.eye(2 * k)[:, 2 * i:2 * i + 2]))
+                  for i in range(k)]
             total = None
             for i in range(len(zs)):
                 for j in range(i + 1, len(zs)):
@@ -302,7 +327,9 @@ class TestGirmPenalties:
                               if heads else [])
                     risk = env_task_risk(model, binding, batch, a=a,
                                          detach_heads=not heads)
-                    ref = T.grad(T.narrow(risk, 1, t, 1), [a, *leaves])
+                    risk_t = T.sum_(T.multiply(
+                        risk, T.Tensor(np.eye(model.tasks)[t])))
+                    ref = T.grad(risk_t, [a, *leaves])
                     np.testing.assert_array_equal(dA.data[t], ref[0].data[t])
                     others = np.arange(model.tasks) != t
                     np.testing.assert_array_equal(ref[0].data[others], 0.0)
@@ -347,7 +374,8 @@ class TestGirmPenalties:
         head_leaves = binding.leaves_for(model.head_parameters())
         assert any(np.any(g.data != 0) for g in T.grad(penalty, head_leaves))
 
-    def test_norm_penalty_gradient_matches_finite_differences(self):
+    @pytest.mark.parametrize("variant", ["var", "irm-baseline"])
+    def test_penalty_gradient_matches_finite_differences(self, variant):
         # double-backward through the penalty, checked against central
         # differences of the penalty value under encoder-weight shifts
         model = make_model(tasks=1, k=2, input_dim=3, total_dim=4, seed=7)
@@ -357,14 +385,15 @@ class TestGirmPenalties:
         def penalty_value() -> float:
             tape = T.Tape()
             return girm_penalty(model, TapeBinding(tape), batches,
-                                "norm")[0].item()
+                                variant)[0].item()
 
         tape = T.Tape()
         binding = TapeBinding(tape)
-        pen, _ = girm_penalty(model, binding, batches, "norm")
+        pen, _ = girm_penalty(model, binding, batches, variant)
         leaf = binding.leaf(target)
         analytic = T.grad(pen, [leaf])[0].data
         step = 1e-5
+        scale = np.abs(analytic).max()  # var's gradients are well below 1
         worst = 0.0
         for idx in np.ndindex(*target.value.shape):
             keep = target.value[idx]
@@ -375,7 +404,7 @@ class TestGirmPenalties:
             target.value[idx] = keep
             numeric = (up - down) / (2 * step)
             worst = max(worst, abs(analytic[idx] - numeric)
-                        / max(1.0, abs(analytic[idx]), abs(numeric)))
+                        / max(scale, abs(numeric)))
         assert worst < 1e-3
 
     def test_inner_routing_gradient_does_not_walk_encoder(self):
@@ -460,7 +489,7 @@ class TestTotalLoss:
     def test_all_lambdas_zero_is_plain_risk_sum(self):
         model = make_model(seed=10)
         batches = make_batches(seed=10)
-        weights = PenaltyWeights(0.0, 0.0, 0.0, 0.0, "none")
+        weights = PenaltyWeights(0.0, 0.0, 0.0, 0.0)
         _, parts = step_gradients(model, batches[0], batches, weights)
         assert parts["loss"] == pytest.approx(sum(parts["task_risks"]),
                                               rel=1e-12)
@@ -469,7 +498,7 @@ class TestTotalLoss:
     def test_girm_none_drops_penalty_term(self):
         model = make_model(seed=11)
         batches = make_batches(seed=11)
-        weights = PenaltyWeights(1.0, 0.1, 0.5, 7.0, "none")
+        weights = PenaltyWeights(1.0, 0.1, 0.5, 0.0)
         _, parts = step_gradients(model, batches[0], batches, weights)
         assert "girm" not in parts
 

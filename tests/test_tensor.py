@@ -316,9 +316,6 @@ _KEPT_CASES = [
     ("square", T.square, [(3, 4)], True),
     ("pow", lambda a: T.pow_const(a, -0.5), [(3, 4)], True),
     ("sum", lambda a: T.sum_(a, axis=1), [(3, 4)], False),
-    ("slice", lambda a: T.narrow(a, 1, 1, 2), [(3, 4)], False),
-    ("scatter", lambda a: T.scatter_narrow(a, 1, 1, (3, 4)), [(3, 2)],
-     False),
 ]
 
 
@@ -527,7 +524,6 @@ def _op_cases(rng):
         ("xent", lambda x: T.mean(T.softmax_cross_entropy(x, labels)), [rng.normal(size=(3, 2))], 1e-6),
         ("log", lambda x: T.sum_(T.log(x)), [pos], 1e-6),
         ("exp", lambda x: T.sum_(T.exp(x)), [a * 0.3], 1e-6),
-        ("slice", lambda x: T.sum_(T.square(T.narrow(x, 1, 1, 2))), [a], 1e-6),
         ("scale", lambda x: T.sum_(T.scale(x, -2.5)), [a], 1e-6),
         ("pow", lambda x: T.sum_(T.pow_const(x, -0.5)), [pos], 1e-6),
         ("transpose", lambda x: T.sum_(T.square(T.transpose(x))), [a], 1e-6),
