@@ -13,6 +13,7 @@ import math
 import numbers
 import struct
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,10 @@ class IdxFormatError(DataError):
 
 @dataclass
 class EnvironmentBatch:
-    """Per-environment slice: inputs, per-task labels, per-task causal masks."""
+    """Per-environment slice: inputs, per-task labels, per-task causal masks.
+
+    ``support`` is read from ``inputs`` once, on first use, and kept, so
+    a batch's inputs must not change after a training step has read it."""
 
     env_id: str
     inputs: np.ndarray                  # B x D
@@ -54,6 +58,13 @@ class EnvironmentBatch:
     @property
     def tasks(self):
         return sorted(self.labels)
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """Sorted indices of the input columns that are nonzero in at least
+        one row.  NaN and inf count as nonzero, so they still reach the
+        finiteness checks of a step that reads only these columns."""
+        return np.flatnonzero(self.inputs.any(axis=0))
 
     def task_view(self, t: int) -> "EnvironmentBatch":
         """Single-task relabeled view (task id 0), for per-task baselines."""
@@ -185,9 +196,20 @@ def load_idx(path):
         raise IdxFormatError(f"bad IDX magic 0x{magic:08x} in {path}")
 
 
+def _first_bad(arr: np.ndarray, ok: np.ndarray, what: str):
+    """DataError naming the first entry of ``arr`` where ``ok`` is False."""
+    if not ok.all():
+        raise DataError(f"cannot write {arr[~ok][0].item()!r} to an IDX "
+                        f"file: not {what}")
+
+
 def write_idx_images(path, images: np.ndarray):
-    """Inverse of load_idx for images (testing / fixture support)."""
-    arr = np.clip(np.asarray(images) * 255.0, 0, 255).astype(np.uint8)
+    """Inverse of load_idx for images (testing / fixture support).  Values
+    must lie in [0, 1]; each is stored as floor(255 * value).  DataError
+    names the first other value, NaN included."""
+    arr = np.asarray(images)
+    _first_bad(arr, (arr >= 0) & (arr <= 1), "an image value in [0, 1]")
+    arr = (arr * 255.0).astype(np.uint8)
     n, rows, cols = arr.shape
     with open(path, "wb") as fh:
         fh.write(struct.pack(">iiii", IDX_IMAGE_MAGIC, n, rows, cols))
@@ -195,7 +217,14 @@ def write_idx_images(path, images: np.ndarray):
 
 
 def write_idx_labels(path, labels: np.ndarray):
-    arr = np.asarray(labels).astype(np.uint8)
+    """Labels as IDX bytes.  Each must be an integer in [0, 255], of any
+    numeric type (``np.zeros(n)`` is accepted); DataError names the first
+    other value."""
+    arr = np.asarray(labels)
+    with np.errstate(invalid="ignore"):
+        _first_bad(arr, (arr >= 0) & (arr <= 255) & (arr % 1 == 0),
+                   "an integer label in [0, 255]")
+    arr = arr.astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(struct.pack(">ii", IDX_LABEL_MAGIC, arr.shape[0]))
         fh.write(arr.tobytes())

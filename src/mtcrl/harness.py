@@ -218,6 +218,20 @@ def make_optimizer(cfg: TrainConfig):
 # one training step
 
 
+def step_support(train_batch, env_batches) -> np.ndarray | None:
+    """The input columns a step reads: the union of the supports of
+    ``train_batch`` and ``env_batches``, or None when that is every
+    column.  A column with ink only in a penalty environment stays in."""
+    dim = train_batch.input_dim
+    supports = [b.support for b in (train_batch, *env_batches)]
+    if any(s.size == dim for s in supports):  # every SEM batch: no union
+        return None
+    inked = np.zeros(dim, dtype=bool)
+    for s in supports:
+        inked[s] = True
+    return None if inked.all() else np.flatnonzero(inked)
+
+
 @np.errstate(all="ignore")  # values are checked where they leave the step
 def step_gradients(model: MtlModel, train_batch, env_batches,
                    weights: PenaltyWeights, tape: T.Tape | None = None):
@@ -228,13 +242,18 @@ def step_gradients(model: MtlModel, train_batch, env_batches,
 
     The loss, the penalty, the valid risks and every gradient are checked
     for finiteness, so a non-finite step raises :class:`T.NonFiniteError`
-    before any optimizer sees its gradients."""
+    before any optimizer sees its gradients.
+
+    When some input columns are zero in every row of the step's batches
+    (:func:`step_support`), the first bank layer reads only the others:
+    its weight goes on the tape as those rows, and its gradient comes back
+    in its full shape with exact zeros in the skipped rows."""
     if train_batch.env_id != "train":
         raise HarnessError("task risks must come from the training "
                            f"environment only, got '{train_batch.env_id}'")
     tape = tape or T.Tape()
     tape.reset()
-    binding = TapeBinding(tape)
+    binding = TapeBinding(tape, step_support(train_batch, env_batches))
     z = model.encode(binding, train_batch.inputs)
     a = model.routing.weights(binding)
     risks = env_task_risk(model, binding, train_batch, z=z, a=a)
@@ -268,7 +287,10 @@ def step_gradients(model: MtlModel, train_batch, env_batches,
     grads = T.grad(objective, binding.leaves_for(params))
     for p, g in zip(params, grads):
         T.check_finite(g, f"the gradient of {p.name}")
-    return {p.name: g.data for p, g in zip(params, grads)}, parts
+    if binding.support is None:  # the dense step, as cheap as before
+        return {p.name: g.data for p, g in zip(params, grads)}, parts
+    return {p.name: binding.whole(p, g.data)
+            for p, g in zip(params, grads)}, parts
 
 
 def train_step(model: MtlModel, train_batch, env_batches,

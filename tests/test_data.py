@@ -119,6 +119,32 @@ class TestIdx:
         write_idx_images(path, np.ones((1, 2, 2)))
         assert load_idx(path).max() == 1.0
 
+    @pytest.mark.parametrize("labels, bad", [
+        ([3, 256, 2], "256"), ([3, -1, 2], "-1"), ([3, 2.7], "2.7"),
+        ([1.0, np.nan], "nan"), ([np.inf], "inf")])
+    def test_label_writer_rejects_what_a_byte_cannot_hold(self, tmp_path,
+                                                          labels, bad):
+        path = tmp_path / "labels.idx"
+        with pytest.raises(DataError, match=rf"cannot write {bad}\b"):
+            write_idx_labels(path, labels)
+        assert not path.exists()
+
+    def test_label_writer_takes_integral_floats(self, tmp_path):
+        path = tmp_path / "labels.idx"
+        write_idx_labels(path, np.array([0.0, 3.0, 255.0]))
+        assert load_idx(path).tolist() == [0, 3, 255]
+
+    @pytest.mark.parametrize("value, bad", [(np.nan, "nan"), (1.5, "1.5"),
+                                            (-0.5, "-0.5")])
+    def test_image_writer_rejects_values_outside_unit_interval(
+            self, tmp_path, value, bad):
+        images = np.full((2, 3, 3), 0.5)
+        images[1, 2, 0] = value
+        path = tmp_path / "images.idx"
+        with pytest.raises(DataError, match=rf"cannot write {bad}\b"):
+            write_idx_images(path, images)
+        assert not path.exists()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.idx"
         path.write_bytes(b"\x00\x00\x00\x00" + b"\x00" * 16)
@@ -200,6 +226,22 @@ class TestMultiMnist:
         a = compose_multimnist(spec)
         b = compose_multimnist(spec)
         assert a[0].inputs.tobytes() == b[0].inputs.tobytes()
+
+
+class TestSupport:
+    def test_nonzero_columns_with_nan_and_inf_counted(self):
+        x = np.zeros((3, 6))
+        x[0, 1], x[2, 1], x[1, 3], x[2, 5] = 0.5, -2.0, np.nan, np.inf
+        batch = EnvironmentBatch("train", x, {0: np.zeros(3)},
+                                 {0: np.zeros(6, bool)})
+        assert batch.support.tolist() == [1, 3, 5]
+
+    def test_computed_once_per_batch(self):
+        train, _, _ = gen_multisem(SemSpec(n_train=20, n_valid=20, n_test=20))
+        assert train.support is train.support
+        assert train.support.tolist() == list(range(train.input_dim))
+        # a view with new labels is a new batch: it reads the support again
+        assert train.task_view(0).support is not train.support
 
 
 class TestEnvironments:

@@ -20,8 +20,9 @@ from mtcrl.harness import (ABLATION_VARIANTS, Adam, HarnessError, Sgd,
                            config_hash, config_to_dict, evaluate, run_ablation,
                            run_table2, run_task_sweep, spearman, step_gradients,
                            train, train_step)
-from mtcrl.model import ModuleBank, MtlModel, Parameter, TapeBinding
-from mtcrl.regularizers import (PenaltyWeights, decorrelation_loss,
+from mtcrl.model import (ModelError, ModuleBank, MtlModel, Parameter,
+                         TapeBinding)
+from mtcrl.regularizers import (GIRM_VARIANTS, PenaltyWeights, decorrelation_loss,
                                 env_task_risk, girm_penalty, graph_reg_loss)
 
 QUICK_SPEC = SemSpec(n_train=120, n_valid=120, n_test=120, mu_scale=1.5,
@@ -46,6 +47,17 @@ def tiny_model(tasks=2, seed=0):
     return MtlModel(tasks=tasks, k=2, input_dim=4, total_dim=4,
                     encoder_hidden=(5,), head_out=1,
                     loss_kind="mse", rng=rng)
+
+
+def blanked(batches, both=(1, 3), train_only=(2,)):
+    """``batches`` (train first) with the columns ``both`` zero in every
+    batch and ``train_only`` zero in the train batch only."""
+    out = []
+    for i, b in enumerate(batches):
+        x = b.inputs.copy()
+        x[:, [*both, *(train_only if i == 0 else ())]] = 0.0
+        out.append(replace(b, inputs=x))
+    return out
 
 
 def tiny_batches(seed=0, n=16, input_dim=4, tasks=2):
@@ -210,17 +222,25 @@ class TestTrainStep:
             for p in [*model.bank.parameters(), model.routing.theta]
         )
 
-    @pytest.mark.parametrize("k, variant", [(2, "var"), (8, "var"),
-                                            (2, "irm-baseline")])
-    def test_one_backward_matches_two_pass_reference(self, k, variant):
+    @pytest.mark.parametrize("k, variant, blank", [
+        pytest.param(k, variant, blank,
+                     id=f"{k}-{variant}{'-blank' if blank else ''}")
+        for blank in (False, True)
+        for k, variant in ((2, "var"), (8, "var"), (2, "irm-baseline"))])
+    def test_one_backward_matches_two_pass_reference(self, k, variant, blank):
         # reference: grad(loss) + lambda * grad(penalty), each from a graph
         # of its own, since a first-order grad consumes the record it
-        # walks; step_gradients takes one pass over their weighted sum
+        # walks; step_gradients takes one pass over their weighted sum.
+        # The reference binding has no support, so it reads every column.
         model = MtlModel(tasks=2, k=k, input_dim=4, total_dim=16,
                          encoder_hidden=(5,), head_out=1,
                          loss_kind="mse",
                          rng=np.random.default_rng(7))
         train_b, valid_b = tiny_batches(seed=7)
+        if blank:  # column 2 has ink only in valid, so it stays
+            train_b, valid_b = blanked([train_b, valid_b])
+            assert harness.step_support(
+                train_b, [train_b, valid_b]).tolist() == [0, 2]
         weights = PenaltyWeights(1.0, 0.1, 0.5, 3.0, variant)
 
         def reference(part):
@@ -244,7 +264,11 @@ class TestTrainStep:
 
         grads, parts = step_gradients(model, train_b, [train_b, valid_b],
                                       weights)
-        assert (parts["loss"], parts["girm"]) == (loss, penalty)
+        if blank:  # the first layer's sums skip zero terms
+            assert parts["loss"] == pytest.approx(loss, rel=1e-12)
+            assert parts["girm"] == pytest.approx(penalty, rel=1e-12)
+        else:
+            assert (parts["loss"], parts["girm"]) == (loss, penalty)
         for p, g_main, g_pen in zip(model.parameters(), main, pen):
             ref = g_main.data + weights.lambda_girm * g_pen.data
             err = np.linalg.norm(grads[p.name] - ref)
@@ -825,23 +849,137 @@ class TestPerTaskReference:
                                    saliency, rtol=1e-12)
 
 
+class TestInputSupport:
+    """A step over batches with blank input columns reads only the others
+    in the first bank layer."""
+
+    def blank_setup(self, seed=11):
+        model = MtlModel(tasks=2, k=2, input_dim=4, total_dim=4,
+                         encoder_hidden=(5,), head_out=1, loss_kind="mse",
+                         rng=np.random.default_rng(seed))
+        return model, blanked(tiny_batches(seed=seed))
+
+    @pytest.mark.parametrize("variant", GIRM_VARIANTS)
+    def test_skipped_rows_get_zero_gradient_and_stay_put(self, variant):
+        model, batches = self.blank_setup()
+        weights = PenaltyWeights(1.0, 0.1, 0.5, 3.0, variant)
+        first = model.bank.net.layers[0][0]
+        grads, _ = step_gradients(model, batches[0], batches, weights)
+        assert grads[first.name].shape == first.value.shape
+        skipped = grads[first.name][[1, 3]]
+        assert np.all(skipped == 0.0) and not np.any(np.signbit(skipped))
+        assert np.all(grads[first.name][[0, 2]] != 0.0)
+        before = first.value.copy()
+        opt = Adam(0.05)
+        for _ in range(3):
+            train_step(model, batches[0], batches, weights, opt)
+        assert first.value[[1, 3]].tobytes() == before[[1, 3]].tobytes()
+        assert np.all(first.value[[0, 2]] != before[[0, 2]])
+
+    def test_support_adds_no_node(self):
+        model, batches = self.blank_setup()
+        weights = PenaltyWeights(1.0, 0.1, 0.5, 3.0, "irm-baseline")
+        tapes = [T.Tape(), T.Tape()]
+        step_gradients(model, batches[0], batches, weights, tape=tapes[0])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "step_support", lambda *_: None)
+            step_gradients(model, batches[0], batches, weights, tape=tapes[1])
+        assert len(tapes[0].nodes) == len(tapes[1].nodes)
+
+    def test_sem_step_takes_the_dense_path(self, monkeypatch):
+        model = MtlModel(tasks=2, k=2, input_dim=QUICK_SPEC.input_dim,
+                         total_dim=8, encoder_hidden=(8,), head_out=1,
+                         loss_kind="mse", rng=np.random.default_rng(3))
+        train_b, valid_b, _ = gen_multisem(QUICK_SPEC)
+        batches = [train_b, replace(valid_b, env_id="valid")]
+        assert harness.step_support(train_b, batches) is None
+        weights = PenaltyWeights(1.0, 0.1, 0.5, 3.0, "var")
+        tapes = [T.Tape(), T.Tape()]
+        got, _ = step_gradients(model, train_b, batches, weights,
+                                tape=tapes[0])
+        monkeypatch.setattr(harness, "step_support", lambda *_: None)
+        ref, _ = step_gradients(model, train_b, batches, weights,
+                                tape=tapes[1])
+        assert len(tapes[0].nodes) == len(tapes[1].nodes)
+        for name, g in ref.items():
+            assert got[name].tobytes() == g.tobytes(), name
+
+    def test_nan_in_a_blank_column_still_raises(self):
+        model, batches = self.blank_setup()
+        x = batches[0].inputs.copy()
+        x[4, 1] = np.nan
+        batches[0] = replace(batches[0], inputs=x)
+        assert 1 in harness.step_support(batches[0], batches)
+        with pytest.raises(T.NonFiniteError):
+            step_gradients(model, batches[0], batches,
+                           PenaltyWeights(1.0, 0.1, 0.5, 3.0, "var"))
+
+    def test_all_blank_input(self):
+        model, batches = self.blank_setup()
+        batches = blanked(batches, both=(0, 1, 2, 3), train_only=())
+        assert harness.step_support(batches[0], batches).size == 0
+        weights = PenaltyWeights(1.0, 0.1, 0.5, 3.0, "var")
+        grads, parts = step_gradients(model, batches[0], batches, weights)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "step_support", lambda *_: None)
+            ref, ref_parts = step_gradients(model, batches[0], batches,
+                                            weights)
+        assert parts == ref_parts
+        for name, g in ref.items():
+            np.testing.assert_array_equal(grads[name], g, err_msg=name)
+        assert not np.any(grads[model.bank.net.layers[0][0].name])
+
+    def test_binding_rows_after_a_whole_leaf_raises(self):
+        model, _ = self.blank_setup()
+        first = model.bank.net.layers[0][0]
+        binding = TapeBinding(T.Tape(), support=np.array([0, 2]))
+        binding.leaf(first)
+        with pytest.raises(ModelError, match="already bound whole"):
+            binding.rows(first)
+        rows = TapeBinding(T.Tape(), support=np.array([0, 2]))
+        leaf = rows.rows(first)
+        assert leaf.shape == (2, first.value.shape[1])
+        assert rows.leaf(first) is leaf  # leaves_for sees the rows too
+
+
+def paired_digit_spec(tmp_path, border=0):
+    """Five-by-four digits, or larger by a blank ``border``, 4 per class."""
+    from mtcrl.data import MnistPairSpec, write_idx_images, write_idx_labels
+
+    rng = np.random.default_rng(0)
+    images, labels = [], []
+    for c in range(10):
+        for _ in range(4):
+            img = np.zeros((5 + 2 * border, 4 + 2 * border))
+            ink = img[border:border + 5, border:border + 4]
+            ink[...] = 0.1 * rng.random((5, 4))
+            ink[c % 5, :] = 1.0
+            images.append(img)
+            labels.append(c)
+    ipath, lpath = tmp_path / "i.idx", tmp_path / "l.idx"
+    write_idx_images(ipath, np.array(images))
+    write_idx_labels(lpath, np.array(labels))
+    return MnistPairSpec(images_path=str(ipath), labels_path=str(lpath),
+                         pairs_per_class_pair=2)
+
+
+def report_floats(rep) -> list:
+    """Every number of ``rep`` but its wall-clock time, in a fixed order."""
+    def walk(x):
+        if isinstance(x, dict):
+            for key in sorted(x):
+                yield from walk(x[key])
+        elif isinstance(x, (list, tuple)):
+            for item in x:
+                yield from walk(item)
+        elif isinstance(x, (int, float)) and not isinstance(x, bool):
+            yield float(x)
+    return list(walk(replace(rep, wall_clock_s=0.0).to_dict()))
+
+
 class TestMultiMnistEndToEnd:
     def test_paired_digit_training_runs(self, tmp_path):
-        from mtcrl.data import MnistPairSpec, write_idx_images, write_idx_labels
-
-        rng = np.random.default_rng(0)
-        images, labels = [], []
-        for c in range(10):
-            for _ in range(4):
-                img = 0.1 * rng.random((5, 4))
-                img[c % 5, :] = 1.0
-                images.append(img)
-                labels.append(c)
-        ipath, lpath = tmp_path / "i.idx", tmp_path / "l.idx"
-        write_idx_images(ipath, np.array(images))
-        write_idx_labels(lpath, np.array(labels))
-        spec = MnistPairSpec(images_path=str(ipath), labels_path=str(lpath),
-                             pairs_per_class_pair=2)
+        spec = paired_digit_spec(tmp_path)
         cfg = TrainConfig(dataset=spec, mode="mtcrl", k_modules=2,
                           total_module_dim=8, encoder_hidden=(8,), epochs=3,
                           learning_rate=1e-2, seed=0,
@@ -852,6 +990,27 @@ class TestMultiMnistEndToEnd:
         assert all(0.0 <= a <= 1.0 for a in rep.acc_val)
         assert len(rep.saliency[0]) == 5 * 4 * 2
         assert rep.config["dataset"]["kind"] == "multimnist"
+
+    @pytest.mark.parametrize("variant", GIRM_VARIANTS)
+    def test_blank_border_fit_matches_dense_support(self, tmp_path,
+                                                    monkeypatch, variant):
+        cfg = TrainConfig(dataset=paired_digit_spec(tmp_path, border=2),
+                          mode="mtcrl", k_modules=2, total_module_dim=8,
+                          encoder_hidden=(8,), epochs=6, learning_rate=1e-2,
+                          seed=0, weights=PenaltyWeights(0.5, 0.01, 0.1, 5.0,
+                                                         variant))
+        supports = []
+        step_support = harness.step_support
+        monkeypatch.setattr(harness, "step_support", lambda *args: (
+            supports.append(step_support(*args)) or supports[-1]))
+        rep, _ = train(cfg)
+        # every step skips the 2-pixel border around each digit's 5 x 4 ink
+        assert len(supports) == 6
+        assert all(s is not None and s.size == 2 * 5 * 4 for s in supports)
+        monkeypatch.setattr(harness, "step_support", lambda *_: None)
+        dense, _ = train(cfg)
+        np.testing.assert_allclose(report_floats(rep), report_floats(dense),
+                                   rtol=1e-12, atol=0)
 
 
 class TestSpearman:
