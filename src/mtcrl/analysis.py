@@ -1,6 +1,6 @@
 """Diagnostics over trained models: input-gradient saliency, the spurious
 score, module-correlation heatmaps, task-to-module gradient tables, and the
-routing-induced task similarity graph, plus CSV/SVG export helpers.
+routing-induced task similarity matrix, plus CSV/SVG export helpers.
 """
 
 from __future__ import annotations
@@ -135,15 +135,9 @@ def task_module_gradients(model: MtlModel, env_batches) -> TaskModuleGradients:
     return TaskModuleGradients(per_env, diff, pair)
 
 
-@dataclass
-class SimilarityGraph:
-    matrix: np.ndarray          # T x T cosine similarities of routing rows
-    edges: np.ndarray           # bool adjacency after thresholding
-    threshold: float
-
-
-def task_similarity(a_matrix, threshold: float = 0.1) -> SimilarityGraph:
-    """Cosine similarity between routing rows; zero rows relate to nothing."""
+def task_similarity(a_matrix) -> np.ndarray:
+    """T x T cosine similarities between routing rows; zero rows relate to
+    nothing."""
     a = np.asarray(a_matrix, dtype=np.float64)
     norms = np.linalg.norm(a, axis=1)
     safe = np.where(norms > 0, norms, 1.0)
@@ -152,7 +146,7 @@ def task_similarity(a_matrix, threshold: float = 0.1) -> SimilarityGraph:
     sim[norms == 0, :] = 0.0
     sim[:, norms == 0] = 0.0
     np.clip(sim, -1.0, 1.0, out=sim)
-    return SimilarityGraph(sim, sim >= threshold, threshold)
+    return sim
 
 
 # ---------------------------------------------------------------------------

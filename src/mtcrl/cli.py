@@ -5,7 +5,7 @@ diagnostics.  All subcommands take --out.  All but oracle-check take
 override the config's seed; ablate takes its seeds from the config.
 
 Exit codes: 0 success, 1 failed run (diagnostic JSON written), 2 usage or
-configuration errors.
+configuration errors, and data files a config names that cannot be used.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 
 from . import analysis, harness, oracles
 from . import tensor as T
-from .data import (SemSpec, gen_multisem, compose_multimnist, write_batch_csv,
-                   write_container)
+from .data import (DataError, SemSpec, gen_multisem, compose_multimnist,
+                   write_batch_csv, write_container)
 from .model import ModelError, load_checkpoint, save_checkpoint
 
 
@@ -307,9 +307,8 @@ def cmd_analyze(args) -> int:
     heat = harness._checked(None, None, partial(
         analysis.module_corr_heatmap, model, valid_b))
     analysis.write_matrix_csv(out / "module_corr.csv", heat.matrix)
-    sim = analysis.task_similarity(model.routing.matrix(),
-                                   threshold=args.threshold)
-    analysis.write_matrix_csv(out / "similarity.csv", sim.matrix)
+    analysis.write_matrix_csv(out / "similarity.csv",
+                              analysis.task_similarity(model.routing.matrix()))
     if args.svg:
         analysis.svg_heatmap(out / "module_corr.svg", heat.matrix,
                              boundaries=heat.block_boundaries)
@@ -357,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="diagnostics for a trained model")
     common(p, config_required=True)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--threshold", type=float, default=0.1,
-                   help="similarity-graph edge threshold")
     p.add_argument("--svg", action="store_true", help="also write SVG heatmaps")
     return parser
 
@@ -383,7 +380,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, DataError) as exc:  # DataError: unusable input data
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # failed run: diagnostic JSON, exit 1

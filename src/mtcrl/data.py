@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import os
 import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -174,15 +175,24 @@ def gen_multisem(spec: SemSpec):
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
-    data = fh.read(count)
+    # a corrupt count in the header must not size the read buffer
+    data = fh.read(min(count, os.fstat(fh.fileno()).st_size))
     if len(data) != count:
-        raise IdxFormatError(f"truncated IDX file while reading {what}")
+        raise IdxFormatError(f"truncated IDX file {fh.name} while reading "
+                             f"{what}")
     return data
 
 
 def load_idx(path):
-    """Parse an IDX ubyte file; images scaled to [0, 1], labels as ints."""
-    with open(path, "rb") as fh:
+    """Parse an IDX ubyte file; images scaled to [0, 1], labels as ints.
+    A missing, unreadable, truncated or unknown-magic file raises
+    :class:`IdxFormatError` naming ``path``."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise IdxFormatError(f"cannot read IDX file {path}: "
+                             f"{exc.strerror or exc}") from exc
+    with fh:
         magic = struct.unpack(">i", _read_exact(fh, 4, "magic"))[0]
         if magic == IDX_IMAGE_MAGIC:
             n, rows, cols = struct.unpack(">iii", _read_exact(fh, 12, "dims"))
@@ -285,6 +295,10 @@ def compose_multimnist(spec: MnistPairSpec):
     """
     images = load_idx(spec.images_path)
     labels = load_idx(spec.labels_path)
+    for path, arr, ndim, kind in ((spec.images_path, images, 3, "images"),
+                                  (spec.labels_path, labels, 1, "labels")):
+        if arr.ndim != ndim:
+            raise IdxFormatError(f"IDX file {path} does not hold {kind}")
     if images.shape[0] != labels.shape[0]:
         raise IdxFormatError(
             f"image count {images.shape[0]} != label count {labels.shape[0]}"

@@ -252,7 +252,6 @@ def step_gradients(model: MtlModel, train_batch, env_batches,
         raise HarnessError("task risks must come from the training "
                            f"environment only, got '{train_batch.env_id}'")
     tape = tape or T.Tape()
-    tape.reset()
     binding = TapeBinding(tape, step_support(train_batch, env_batches))
     z = model.encode(binding, train_batch.inputs)
     a = model.routing.weights(binding)
@@ -428,7 +427,6 @@ def _fit(model, env_batches, weights, cfg):
     per epoch; an evaluation names the step whose update it evaluates)."""
     train_batch, valid_batch = env_batches
     opt = make_optimizer(cfg)
-    tape = T.Tape()
     train_curve, valid_curve = [], []
     best = np.inf
     bad = 0
@@ -456,13 +454,14 @@ def _fit(model, env_batches, weights, cfg):
 
     for epoch in range(cfg.epochs):
         at = (epoch, epoch)
+        tape = T.Tape()  # drops the last step's record
         # the parameters are unchanged when a step fails, so the replay
-        # recomputes the same gradients
+        # recomputes the same gradients, on a tape of its own
         parts = _checked(*at,
                          partial(train_step, model, train_batch, env_batches,
                                  weights, opt, tape=tape),
                          partial(step_gradients, model, train_batch,
-                                 env_batches, weights, tape=tape))
+                                 env_batches, weights))
         if owed:  # bad < patience before this check, so it cannot stop
             stops(parts["task_risks"], parts.get("valid_risks", owed_valid))
         owed = epoch + 1 < cfg.epochs and bad < cfg.patience
@@ -531,7 +530,7 @@ def train(cfg: TrainConfig):
     report = RunReport(
         config=config_to_dict(cfg), config_hash=config_hash(cfg),
         seed=cfg.seed, mode=cfg.mode, **cols,
-        similarity=task_similarity(np.array(cols["routing"])).matrix.tolist(),
+        similarity=task_similarity(np.array(cols["routing"])).tolist(),
         wall_clock_s=time.perf_counter() - t0,
     )
     return report, [fit[0] for fit in fits]

@@ -27,7 +27,7 @@ class ModelError(Exception):
 
 
 class Parameter:
-    """Named trainable array, persistent across tape resets.  ``value`` is
+    """Named trainable array that outlives every step's tape.  ``value`` is
     C-contiguous, and the optimizers write it in place."""
 
     __slots__ = ("name", "value")

@@ -12,7 +12,8 @@ Conventions:
   * leaves (parameters, inputs) are put on a tape via :meth:`Tape.leaf`;
   * tensors with ``node is None`` are constants - gradients never flow
     into them;
-  * one tape per training step, reset between steps;
+  * one tape per training step or other computation, never reused, so
+    a node is stale only once its tape is dropped or its record consumed;
   * no op writes tensor data in place, so ``transpose`` returns a view.
     A leaf shares its array with the parameter it was made from, and the
     optimizer writes parameter arrays in place after the step's backward
@@ -126,7 +127,8 @@ class NonScalarOutputError(TensorError):
 
 
 class StaleTapeError(TensorError):
-    pass
+    """A tensor's tape was dropped, or a first-order :func:`grad` reached
+    a node whose record an earlier one consumed."""
 
 
 class NotOnTapeError(TensorError):
@@ -152,7 +154,7 @@ class Node:
     ``None``.
     """
 
-    __slots__ = ("nid", "op", "parents", "vjp", "out", "_tape", "generation")
+    __slots__ = ("nid", "op", "parents", "vjp", "out", "_tape")
 
     def __init__(self, nid, op, parents, vjp, out, tape):
         self.nid = nid
@@ -161,7 +163,6 @@ class Node:
         self.vjp = vjp
         self.out = out
         self._tape = tape.ref
-        self.generation = tape.generation
 
     @property
     def tape(self) -> "Tape | None":
@@ -173,14 +174,8 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Node] = []
-        self.generation = 0
         self.recording = True
         self.ref = weakref.ref(self)
-
-    def reset(self):
-        """Drop all nodes; tensors from before the reset become stale."""
-        self.nodes.clear()
-        self.generation += 1
 
     @contextlib.contextmanager
     def stop_recording(self):
@@ -254,14 +249,12 @@ def _tape_of(tensors: Iterable[Tensor]) -> Tape | None:
 
 def _owner(node: Node, what: str) -> Tape:
     """The live tape of ``node``; :class:`StaleTapeError` names ``what``
-    when that tape was dropped or reset since the node was recorded."""
+    when that tape was dropped."""
     tape = node._tape()
     if tape is None:
         raise StaleTapeError(
             f"{what} from node {node.nid} lives on a dropped tape; keep the "
             "tape referenced while its tensors are used")
-    if node.generation != tape.generation:
-        raise StaleTapeError(f"{what} from node {node.nid} predates a tape reset")
     return tape
 
 

@@ -221,27 +221,22 @@ class TestTaskModuleGradients:
 class TestTaskSimilarity:
     def test_identical_rows(self):
         sim = task_similarity(np.array([[0.2, 0.8], [0.2, 0.8]]))
-        np.testing.assert_allclose(sim.matrix, 1.0, atol=1e-12)
+        np.testing.assert_allclose(sim, 1.0, atol=1e-12)
 
     def test_disjoint_one_hot_rows(self):
         sim = task_similarity(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert sim.matrix[0, 1] == 0.0
-        assert sim.edges[0, 1] == False  # noqa: E712
-        assert sim.edges[0, 0] == True   # noqa: E712
+        assert sim[0, 1] == 0.0
 
     def test_zero_row_relates_to_nothing(self):
         sim = task_similarity(np.array([[0.0, 0.0], [0.5, 0.5]]))
-        assert sim.matrix[0, 1] == 0.0 and sim.matrix[0, 0] == 0.0
-
-    def test_default_threshold(self):
-        assert task_similarity(np.eye(2)).threshold == 0.1
+        assert sim[0, 1] == 0.0 and sim[0, 0] == 0.0
 
     def test_permutation_consistency(self):
         rng = np.random.default_rng(14)
         a = rng.random((4, 3))
         perm = [2, 0, 3, 1]
-        base = task_similarity(a).matrix
-        permuted = task_similarity(a[perm]).matrix
+        base = task_similarity(a)
+        permuted = task_similarity(a[perm])
         np.testing.assert_allclose(permuted, base[np.ix_(perm, perm)],
                                    atol=1e-12)
 

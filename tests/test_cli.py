@@ -10,7 +10,8 @@ import pytest
 
 from mtcrl import harness
 from mtcrl.cli import ablation_inputs, main, sweep_inputs, table2_inputs
-from mtcrl.data import SemSpec, read_container
+from mtcrl.data import (SemSpec, read_container, write_idx_images,
+                        write_idx_labels)
 from mtcrl.harness import (ABLATION_VARIANTS, TrainConfig, config_from_dict,
                            config_hash, config_to_dict)
 from mtcrl.model import load_checkpoint
@@ -255,6 +256,59 @@ class TestFailedRun:
         assert diag["parent_ops"] == ["add", "matmul"]
         assert (diag["epoch"], diag["step"]) == (0, 0)
         assert "epoch 0, step 0" in diag["error"]
+
+
+def digit_config(tmp_path):
+    """A train config over IDX files of 2 five-by-four digits per class,
+    and the images file's path."""
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    write_idx_images(images, np.random.default_rng(0).random((20, 5, 4)))
+    write_idx_labels(labels, np.repeat(np.arange(10), 2))
+    dataset = {"kind": "multimnist", "images_path": str(images),
+               "labels_path": str(labels), "pairs_per_class_pair": 1}
+    return quick_config_dict(dataset=dataset), images
+
+
+def break_idx(path, fault):
+    """Make the IDX file at ``path`` unusable in the way ``fault`` names."""
+    data = path.read_bytes()
+    if fault == "missing":
+        path.unlink()
+    elif fault == "truncated":
+        path.write_bytes(data[:-1])
+    elif fault == "bad-magic":
+        path.write_bytes(b"\0\0\x08\x04" + data[4:])
+    else:  # a labels file where images belong
+        path.write_bytes((path.parent / "labels.idx").read_bytes())
+
+
+class TestUnusableData:
+    def test_intact_files_compose(self, tmp_path):
+        payload, _ = digit_config(tmp_path)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(payload))
+        assert main(["gen-data", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("fault, message", [
+        ("missing", "cannot read IDX file"),
+        ("truncated", "truncated IDX file"),
+        ("bad-magic", "bad IDX magic 0x00000804"),
+        ("labels-as-images", "does not hold images"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "gen-data", "analyze"])
+    def test_bad_idx_file_exits_two_and_is_named(self, command, fault,
+                                                 message, tmp_path, capsys):
+        payload, images = digit_config(tmp_path)
+        break_idx(images, fault)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert str(images) in err
+        assert not (out / "diagnostic.json").exists()
 
 
 class TestTrainCommand:

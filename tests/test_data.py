@@ -1,3 +1,5 @@
+import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -5,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtcrl.data import (DataError, EnvironmentBatch, IdxFormatError,
-                        MnistPairSpec, SemSpec, compose_multimnist,
-                        factor_means, gen_multisem, load_idx, partition_pairs,
-                        read_container, split_environments, write_batch_csv,
-                        write_container, write_idx_images, write_idx_labels)
+from mtcrl.data import (IDX_IMAGE_MAGIC, DataError, EnvironmentBatch,
+                        IdxFormatError, MnistPairSpec, SemSpec,
+                        compose_multimnist, factor_means, gen_multisem,
+                        load_idx, partition_pairs, read_container,
+                        split_environments, write_batch_csv, write_container,
+                        write_idx_images, write_idx_labels)
 
 
 class TestMultiSem:
@@ -157,6 +160,17 @@ class TestIdx:
         path = tmp_path / "trunc.idx"
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(IdxFormatError, match="truncated"):
+            load_idx(path)
+
+
+    def test_count_beyond_the_file_is_truncation(self, tmp_path):
+        # the header claims 2**31 - 1 images of 255 x 255 pixels
+        path = tmp_path / "huge.idx"
+        path.write_bytes(struct.pack(">iiii", IDX_IMAGE_MAGIC, 2**31 - 1,
+                                     255, 255) + b"\0" * 16)
+        with pytest.raises(IdxFormatError,
+                           match=re.escape(f"truncated IDX file {path} "
+                                           "while reading pixels")):
             load_idx(path)
 
 

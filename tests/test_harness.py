@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import weakref
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -604,6 +605,30 @@ class TestTrain:
         b = report_json(train(cfg)[0])
         assert a == b
 
+    def test_worker_pool_gives_the_sequential_reports(self, monkeypatch):
+        configs = [quick_config(mode=mode, epochs=3)
+                   for mode in ("stl", "mtl-vanilla", "mtcrl")]
+
+        def reports():
+            return [{k: v for k, v in rep.items() if k != "wall_clock_s"}
+                    for rep in harness.run_configs(configs)]
+
+        pools = []
+
+        class Pool(harness.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        monkeypatch.delenv("MTCRL_WORKERS", raising=False)
+        sequential = reports()
+        monkeypatch.setenv("MTCRL_WORKERS", "2")
+        assert reports() == sequential
+        assert pools == [2]
+        assert [rep["mode"] for rep in sequential] == \
+            ["stl", "mtl-vanilla", "mtcrl"]
+
     def test_seed_changes_report(self):
         a = report_json(train(quick_config(seed=0))[0])
         b = report_json(train(quick_config(seed=1))[0])
@@ -671,6 +696,24 @@ class TestAcyclicTape:
                            weights=PenaltyWeights(girm_variant=variant))
         assert cyclic_garbage(partial(train, cfg)) == 0
 
+    def test_each_step_records_on_a_tape_of_its_own(self, monkeypatch):
+        # a step's tape starts empty and numbers its nodes from 0, and the
+        # last step's tape is freed by the time the next step starts
+        dropped = []
+
+        def step(*args, tape, **kwargs):
+            assert tape.nodes == []
+            assert [ref() for ref in dropped] == [None] * len(dropped)
+            parts = train_step(*args, tape=tape, **kwargs)
+            assert tape.nodes[0].nid == 0
+            dropped.append(weakref.ref(tape))
+            return parts
+
+        monkeypatch.setattr(harness, "train_step", step)
+        cfg = quick_config(mode="mtcrl", epochs=4)
+        assert cyclic_garbage(partial(train, cfg)) == 0
+        assert len(dropped) == 4
+
     @pytest.mark.parametrize("name", ["factor_gradient", "module_corr_heatmap",
                                       "task_module_gradients"])
     def test_analysis_leaves_no_cyclic_garbage(self, name):
@@ -686,12 +729,12 @@ def reference_fit(model, env_batches, weights, cfg):
     """The fit loop that evaluates train and valid after every epoch, with
     ``harness._fit``'s return shape."""
     opt = harness.make_optimizer(cfg)
-    tape = T.Tape()
     train_batch, valid_batch = env_batches
     train_curve, valid_curve = [], []
     best, bad, epochs_run = np.inf, 0, 0
     for _ in range(cfg.epochs):
-        train_step(model, train_batch, env_batches, weights, opt, tape=tape)
+        train_step(model, train_batch, env_batches, weights, opt,
+                   tape=T.Tape())
         epochs_run += 1
         train_curve.append(evaluate(model, train_batch)["risks"])
         valid_curve.append(evaluate(model, valid_batch)["risks"])
